@@ -12,10 +12,8 @@ This benchmark reports
   batch sizes (both paths are bit-for-bit identical, so the ratio is pure
   schedule cost);
 * end-to-end qd ``BatchTracker`` wall seconds with plans on and off;
-* the plan-arena A/B: the same tracker workload with plans on both ways and
-  only :func:`repro.core.evalplan.use_plan_arenas` toggled, with arena
-  hit/miss/resize and step-cache counters, plus steady-state numpy
-  allocations per batched evaluation for walk / plans / plans+arenas.
+* steady-state numpy allocations per batched evaluation, walk vs the
+  plan's arena executor.
 
 Run as a script (``python benchmarks/bench_eval_plan.py [--json PATH]``) or
 through pytest (``pytest benchmarks/bench_eval_plan.py -s``).
@@ -30,7 +28,6 @@ from repro.bench.eval_plan import (
     eval_plan_report,
     op_count_report,
     run_allocation_bench,
-    run_arena_tracker_bench,
     run_eval_plan_bench,
     run_plan_tracker_bench,
     run_scenario_eval_plan_bench,
@@ -44,9 +41,8 @@ def sweep(eval_batches=EVAL_BATCHES):
     op_counts = op_count_report()
     eval_rows = run_eval_plan_bench(batch_sizes=eval_batches)
     tracker_rows = run_plan_tracker_bench()
-    arena_rows = run_arena_tracker_bench()
     allocations = run_allocation_bench()
-    return op_counts, eval_rows, tracker_rows, arena_rows, allocations
+    return op_counts, eval_rows, tracker_rows, allocations
 
 
 def test_plan_multiplication_reduction():
@@ -61,7 +57,7 @@ if __name__ == "__main__":
                         help="also write the report as JSON to PATH")
     json_path = parser.parse_args().json
 
-    op_counts, eval_rows, tracker_rows, arena_rows, allocations = sweep()
+    op_counts, eval_rows, tracker_rows, allocations = sweep()
     print("op counts per batched homotopy evaluation (escalation workload):")
     print(f"  walk: {op_counts['walk']}")
     print(f"  plan: {op_counts['plan']}")
@@ -71,32 +67,23 @@ if __name__ == "__main__":
                        title="plan vs walk evaluate_batch throughput"))
     print(format_table([r.as_dict() for r in tracker_rows],
                        title="qd BatchTracker wall, plans on/off (dim 3)"))
-    print(format_table([r.as_dict() for r in arena_rows],
-                       title="qd BatchTracker wall, arenas on/off "
-                             "(plans on, tangent predictor)"))
     print("allocations per batched evaluation: " +
           ", ".join(f"{mode}={count:.0f}"
                     for mode, count in allocations.items()))
     report = eval_plan_report(op_counts, eval_rows, tracker_rows,
-                              arena_rows, allocations)
+                              allocations)
     # The registry matrix: per-scenario plan savings plus bit-for-bit
-    # identity of plan-vs-walk and arenas-on-vs-off on every shape.
+    # plan-vs-walk identity on every shape.
     report["scenarios"] = run_scenario_eval_plan_bench()
     print(format_table(
         [{"scenario": name,
           "mul_save": e["multiplication_saving_factor"],
-          "plan=walk": e["plan_walk_identical"],
-          "arena=plan": e["arena_identical"]}
+          "plan=walk": e["plan_walk_identical"]}
          for name, e in report["scenarios"].items()],
         title="scenario matrix (dd, plan differential)"))
     if "qd_tracker_wall_speedup" in report:
         print(f"-> qd tracker wall speedup with plans: "
               f"{report['qd_tracker_wall_speedup']:.2f}x")
-    arena_speedup = report.get("arena", {}).get(
-        "qd_tracker_wall_speedup_vs_plans")
-    if arena_speedup is not None:
-        print(f"-> qd tracker wall speedup with arenas (vs plans only): "
-              f"{arena_speedup:.2f}x")
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)

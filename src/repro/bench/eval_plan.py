@@ -1,6 +1,6 @@
 """Plan-vs-walk benchmark of the compiled evaluation schedules.
 
-Three measurements back the evaluation-plan work (see
+Four measurements back the evaluation-plan work (see
 :mod:`repro.core.evalplan`):
 
 1. **Operation counts** (:func:`op_count_report`): the compiled
@@ -19,16 +19,10 @@ Three measurements back the evaluation-plan work (see
    :class:`~repro.tracking.batch_tracker.BatchTracker` tracks the cyclic
    quadratic workload with plans on and off, reporting wall seconds and
    paths/sec both ways.
-4. **Arena executor A/B** (:func:`run_arena_tracker_bench`): the same
-   tracked workload with plans on both ways, toggling only
-   :func:`~repro.core.evalplan.use_plan_arenas` -- persistent plan-owned
-   buffers plus the step-scoped power-table cache against the PR 5
-   allocating plan path -- with the arena hit/miss/resize and step-cache
-   counters of the winning run.
-5. **Allocations per evaluation** (:func:`run_allocation_bench`): NumPy
+4. **Allocations per evaluation** (:func:`run_allocation_bench`): NumPy
    constructor-family calls (``np.empty`` / ``zeros`` / ``ones`` /
    ``full`` and their ``_like`` variants) per ``evaluate_batch``, for the
-   walk, the allocating plan path and the arena path.
+   walk and for the plan, whose rows live in its persistent arena.
 
 Timings take the best of several repetitions, so the JSON report
 (``BENCH_eval_plan.json``) is stable enough for the regression assertions
@@ -39,28 +33,26 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.evalplan import use_eval_plans, use_plan_arenas
+from ..core.evalplan import use_eval_plans
 from ..core.opcounts import sharing_report
 from ..multiprec.backend import backend_for_context
 from ..multiprec.numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE, NumericContext
-from ..tracking.batch_tracker import BatchTracker, TrackerOptions
+from ..tracking.batch_tracker import BatchTracker
 from ..tracking.homotopy import BatchHomotopy
 from ..tracking.start_systems import start_solutions, total_degree_start_system
 from .batch_tracking import cyclic_quadratic_system
-from .qd_arith import _best_seconds
+from .qd_arith import _best_interleaved
 
 __all__ = [
-    "ArenaTrackerRow",
     "EvalPlanRow",
     "PlanTrackerRow",
     "eval_plan_report",
     "op_count_report",
     "run_allocation_bench",
-    "run_arena_tracker_bench",
     "run_eval_plan_bench",
     "run_plan_tracker_bench",
     "run_scenario_eval_plan_bench",
@@ -122,49 +114,6 @@ class PlanTrackerRow:
         }
 
 
-@dataclass
-class ArenaTrackerRow:
-    """End-to-end tracker wall, one arena-toggle state (plans on both ways),
-    with the executor counters of the measured run."""
-
-    context: str
-    batch_size: int
-    use_arenas: bool
-    paths_tracked: int
-    paths_converged: int
-    wall_seconds: float
-    arena_hits: int = 0
-    arena_misses: int = 0
-    arena_resizes: int = 0
-    step_cache_hits: int = 0
-    step_cache_misses: int = 0
-    plane_builds: int = 0
-    executions: int = 0
-
-    @property
-    def paths_per_second(self) -> float:
-        return (self.paths_tracked / self.wall_seconds
-                if self.wall_seconds else float("inf"))
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "context": self.context,
-            "batch": self.batch_size,
-            "arenas": self.use_arenas,
-            "paths": self.paths_tracked,
-            "converged": self.paths_converged,
-            "wall_s": self.wall_seconds,
-            "paths_per_s_wall": self.paths_per_second,
-            "arena_hits": self.arena_hits,
-            "arena_misses": self.arena_misses,
-            "arena_resizes": self.arena_resizes,
-            "step_cache_hits": self.step_cache_hits,
-            "step_cache_misses": self.step_cache_misses,
-            "plane_builds": self.plane_builds,
-            "executions": self.executions,
-        }
-
-
 def _escalation_pair(dimension: int):
     target = cyclic_quadratic_system(dimension)
     return total_degree_start_system(target), target
@@ -212,12 +161,8 @@ def run_eval_plan_bench(batch_sizes: Sequence[int] = (16, 64),
             t = rng.uniform(0.1, 0.9, size=batch)
             op = lambda: homotopy.evaluate_batch(points, t)  # noqa: E731
             inner = max(2, min(20, 2000 // batch))
-            with use_eval_plans(True):
-                op()  # compile the plan outside the timed region
-                plan_seconds = _best_seconds(op, repeats, inner)
-            with use_eval_plans(False):
-                op()
-                walk_seconds = _best_seconds(op, repeats, inner)
+            plan_seconds, walk_seconds = _best_interleaved(
+                op, use_eval_plans, repeats, inner)
             rows.append(EvalPlanRow(
                 context=context.name,
                 batch=batch,
@@ -259,63 +204,6 @@ def run_plan_tracker_bench(context: NumericContext = QUAD_DOUBLE,
             paths_tracked=len(starts),
             paths_converged=outcome.paths_converged,
             wall_seconds=wall,
-        ))
-    return rows
-
-
-def run_arena_tracker_bench(context: NumericContext = QUAD_DOUBLE,
-                            dimension: int = 3,
-                            batch_size: Optional[int] = None,
-                            repeats: int = 5) -> List[ArenaTrackerRow]:
-    """Track the cyclic quadratic workload with plans on, arenas on vs off.
-
-    Both arms execute the identical compiled schedule under the tangent
-    predictor -- the configuration the step-scoped row cache targets (the
-    predictor re-evaluates at the corrector's accepted points); the toggle
-    trades only where the buffers live (persistent arena slots + per-lane
-    row reuse vs fresh allocations per call).  Wall seconds take the best
-    of ``repeats`` full runs; the arms are interleaved within each repeat
-    so slow machine-load drift hits both equally, and the counters come
-    from the winning run.
-    """
-    target = cyclic_quadratic_system(dimension)
-    start = total_degree_start_system(target)
-    starts = list(start_solutions(target))
-    arms = (True, False)
-    best_wall: Dict[bool, float] = {}
-    best: Dict[bool, Tuple[BatchTracker, object]] = {}
-    for _ in range(max(1, repeats)):
-        for use_arenas in arms:
-            with use_eval_plans(True), use_plan_arenas(use_arenas):
-                tracker = BatchTracker(
-                    start, target, context=context, batch_size=batch_size,
-                    options=TrackerOptions(predictor="tangent"))
-                tracker.homotopy.plan  # compile outside the timed region
-                began = time.perf_counter()
-                outcome = tracker.track_batches(starts)
-                wall = time.perf_counter() - began
-            if use_arenas not in best_wall or wall < best_wall[use_arenas]:
-                best_wall[use_arenas] = wall
-                best[use_arenas] = (tracker, outcome)
-    rows: List[ArenaTrackerRow] = []
-    for use_arenas in arms:
-        tracker, outcome = best[use_arenas]
-        plan = tracker.homotopy.plan
-        stats = plan.exec_stats
-        rows.append(ArenaTrackerRow(
-            context=context.name,
-            batch_size=batch_size or len(starts),
-            use_arenas=use_arenas,
-            paths_tracked=len(starts),
-            paths_converged=outcome.paths_converged,
-            wall_seconds=best_wall[use_arenas],
-            arena_hits=plan.arena.hits,
-            arena_misses=plan.arena.misses,
-            arena_resizes=plan.arena.resizes,
-            step_cache_hits=stats.step_cache_hits,
-            step_cache_misses=stats.step_cache_misses,
-            plane_builds=stats.plane_builds,
-            executions=stats.executions,
         ))
     return rows
 
@@ -362,11 +250,11 @@ def run_scenario_eval_plan_bench(scenarios=None,
 
     Per scenario (defaults to
     :func:`repro.bench.scenarios.bench_scenarios`): the compiled homotopy
-    plan's multiplication/addition saving over the walk path, plus two
-    bit-for-bit identity verdicts on a random lane batch -- plan vs walk,
-    and arenas on vs off (plans on both ways).  Identity must hold on
-    *every* registry shape, including irregular-degree systems the plan
-    compiler had never been pointed at before the registry existed.
+    plan's multiplication/addition saving over the walk path, plus the
+    plan-vs-walk bit-for-bit identity verdict on a random lane batch.
+    Identity must hold on *every* registry shape, including
+    irregular-degree systems the plan compiler had never been pointed at
+    before the registry existed.
     """
     from ..core.opcounts import sharing_report
     from .scenarios import bench_scenarios
@@ -387,10 +275,8 @@ def run_scenario_eval_plan_bench(scenarios=None,
         t = rng.uniform(0.1, 0.9, size=lanes)
         with use_eval_plans(False):
             walk = homotopy.evaluate_batch(points, t)
-        with use_eval_plans(True), use_plan_arenas(False):
+        with use_eval_plans(True):
             plan = homotopy.evaluate_batch(points, t)
-        with use_eval_plans(True), use_plan_arenas(True):
-            arena = homotopy.evaluate_batch(points, t)
 
         entry = scenario.as_dict()
         entry.update({
@@ -400,8 +286,6 @@ def run_scenario_eval_plan_bench(scenarios=None,
                 op["multiplication_saving_factor"],
             "plan_walk_identical": _evaluations_identical(
                 walk, plan, target.dimension, context),
-            "arena_identical": _evaluations_identical(
-                plan, arena, target.dimension, context),
         })
         matrix[scenario.name] = entry
     return matrix
@@ -441,23 +325,21 @@ def run_allocation_bench(context: NumericContext = QUAD_DOUBLE,
                          evaluations: int = 10) -> Dict[str, float]:
     """Constructor-family allocations per batched homotopy evaluation.
 
-    Three modes: the walk path, the allocating plan path, and the arena
-    plan path.  Each mode is warmed first (plan compilation, arena sizing
-    and scratch-stack growth happen once, outside the counted region), so
-    the counts reflect steady-state per-evaluation allocation pressure.
+    Two modes: the walk path (``walk``) and the plan path, whose rows live
+    in its persistent arena (``plans_arenas``).  Each mode is warmed first
+    (plan compilation, arena sizing and scratch-stack growth happen once,
+    outside the counted region), so the counts reflect steady-state
+    per-evaluation allocation pressure.
     """
     start, target = _escalation_pair(dimension)
     backend = backend_for_context(context)
     points = _lane_points(backend, dimension, lanes)
     t = np.random.default_rng(5).uniform(0.1, 0.9, size=lanes)
-    modes = (("walk", False, False),
-             ("plans", True, False),
-             ("plans_arenas", True, True))
     results: Dict[str, float] = {}
-    for mode, plans, arenas in modes:
+    for mode, plans in (("walk", False), ("plans_arenas", True)):
         homotopy = BatchHomotopy(start, target, context=context,
                                  backend=backend)
-        with use_eval_plans(plans), use_plan_arenas(arenas):
+        with use_eval_plans(plans):
             homotopy.evaluate_batch(points, t)  # warm outside the count
             total = _count_numpy_allocations(
                 lambda: [homotopy.evaluate_batch(points, t)
@@ -469,7 +351,6 @@ def run_allocation_bench(context: NumericContext = QUAD_DOUBLE,
 def eval_plan_report(op_counts: Dict[str, object],
                      eval_rows: Sequence[EvalPlanRow],
                      tracker_rows: Sequence[PlanTrackerRow],
-                     arena_rows: Optional[Sequence[ArenaTrackerRow]] = None,
                      allocations: Optional[Dict[str, float]] = None) -> Dict:
     """Assemble the ``BENCH_eval_plan.json`` payload."""
     report: Dict = {
@@ -481,14 +362,6 @@ def eval_plan_report(op_counts: Dict[str, object],
     walk_wall = next((r.wall_seconds for r in tracker_rows if not r.use_plans), None)
     if plan_wall and walk_wall:
         report["qd_tracker_wall_speedup"] = walk_wall / plan_wall
-    if arena_rows:
-        arena: Dict = {"tracker": [row.as_dict() for row in arena_rows]}
-        on = next((r for r in arena_rows if r.use_arenas), None)
-        off = next((r for r in arena_rows if not r.use_arenas), None)
-        if on is not None and off is not None and on.wall_seconds:
-            arena["qd_tracker_wall_speedup_vs_plans"] = \
-                off.wall_seconds / on.wall_seconds
-        if allocations:
-            arena["allocations_per_evaluation"] = dict(allocations)
-        report["arena"] = arena
+    if allocations:
+        report["arena"] = {"allocations_per_evaluation": dict(allocations)}
     return report

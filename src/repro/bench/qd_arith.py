@@ -17,8 +17,10 @@ Two measurements back the fused-kernel work (see
    ``BENCH_batch_tracking.json`` qd rows and the speedup over that
    checked-in baseline is reported directly.
 
-Timings take the best of several repetitions, so the JSON report is stable
-enough for the regression assertion in ``tests/bench``.
+Timings take the best of several repetitions, and the fused and reference
+repetitions alternate, so both arms see the same machine load; the speedup
+ratios are then stable enough for the regression assertion in
+``tests/bench`` even on a shared host.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import (Callable, ContextManager, Dict, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -128,6 +131,26 @@ def _best_seconds(op: Callable[[], object], repeats: int, inner: int) -> float:
     return best
 
 
+def _best_interleaved(op: Callable[[], object],
+                      arm: Callable[[bool], ContextManager[object]],
+                      repeats: int, inner: int) -> Tuple[float, float]:
+    """Best-of-``repeats`` seconds per call under ``arm(True)`` and ``arm(False)``.
+
+    The two arms alternate repetition by repetition instead of running as
+    two blocks, so a burst of load from elsewhere on the host slows both
+    arms rather than only one, and does not skew their ratio.
+    """
+    for on in (True, False):
+        with arm(on):
+            op()  # warm scratch stacks / compile outside the timed region
+    best = {True: float("inf"), False: float("inf")}
+    for _ in range(repeats):
+        for on in (True, False):
+            with arm(on):
+                best[on] = min(best[on], _best_seconds(op, 1, inner))
+    return best[True], best[False]
+
+
 def _operations(batch: int) -> Dict[str, Callable[[], object]]:
     a = _rand_qd(batch, 1)
     b = _rand_qd(batch, 2)
@@ -147,7 +170,7 @@ def _operations(batch: int) -> Dict[str, Callable[[], object]]:
 def run_qd_arith_bench(batch_sizes: Sequence[int] = (64, 256),
                        ops: Optional[Sequence[str]] = None,
                        repeats: int = 5) -> List[QDArithRow]:
-    """Time each hot operation fused and unfused; best-of-``repeats``."""
+    """Time each hot operation fused and unfused; best-of-``repeats``, interleaved."""
     rows: List[QDArithRow] = []
     for batch in batch_sizes:
         operations = _operations(int(batch))
@@ -155,12 +178,8 @@ def run_qd_arith_bench(batch_sizes: Sequence[int] = (64, 256),
             if ops is not None and name not in ops:
                 continue
             inner = max(3, min(50, 20000 // int(batch)))
-            with use_fused_kernels(True):
-                op()  # warm the scratch stack
-                fused = _best_seconds(op, repeats, inner)
-            with use_fused_kernels(False):
-                op()
-                unfused = _best_seconds(op, repeats, inner)
+            fused, unfused = _best_interleaved(op, use_fused_kernels,
+                                              repeats, inner)
             rows.append(QDArithRow(
                 op=name,
                 batch=int(batch),
@@ -192,12 +211,8 @@ def run_dd_small_batch_bench(batch_sizes: Sequence[int] = (8, 64, 256, 1024, 409
         for name, op in (("dd_add", lambda: da + db),
                          ("dd_sub", lambda: da - db)):
             inner = max(3, min(200, 50000 // batch))
-            with use_fused_kernels(True):
-                op()
-                fused = _best_seconds(op, repeats, inner)
-            with use_fused_kernels(False):
-                op()
-                unfused = _best_seconds(op, repeats, inner)
+            fused, unfused = _best_interleaved(op, use_fused_kernels,
+                                              repeats, inner)
             rows.append(QDArithRow(
                 op=name,
                 batch=batch,

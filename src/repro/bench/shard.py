@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..multiprec.numeric import DOUBLE, DOUBLE_DOUBLE, NumericContext
+from ..service.backoff import BackoffPolicy
 from ..service.sharded import FAULT_MODES, FaultInjection, solve_system_sharded
 from ..service.workerpool import WorkerPool
 from ..tracking.solver import EscalationPolicy, SolveReport, solve_system
@@ -41,6 +42,9 @@ from .batch_tracking import cyclic_quadratic_system
 
 __all__ = ["ShardRow", "ShardSummary", "run_robustness_bench",
            "run_shard_bench", "run_scenario_shard_bench"]
+
+#: Reschedule crashed shards at once: the drills time recovery, not waits.
+_NO_BACKOFF = BackoffPolicy(base=0.0)
 
 
 @dataclass
@@ -156,7 +160,7 @@ def run_shard_bench(dimension: int = 4,
         begin = time.perf_counter()
         report = solve_system_sharded(
             system, shards=workers, max_workers=workers, options=opts,
-            escalation=policy, fault_injection=fault, backoff_seconds=0.0)
+            escalation=policy, fault_injection=fault, backoff=_NO_BACKOFF)
         wall = time.perf_counter() - begin
         return ShardRow(
             configuration=configuration,
@@ -256,7 +260,7 @@ def run_robustness_bench(dimension: int = 4,
     def sharded(pool, fault=None, **extra):
         return solve_system_sharded(
             system, shards=workers, options=opts, escalation=policy,
-            pool=pool, backoff_seconds=0.0, fault_injection=fault,
+            pool=pool, backoff=_NO_BACKOFF, fault_injection=fault,
             heartbeat_timeout=heartbeat_timeout, **extra)
 
     report: Dict[str, object] = {"cpus": cpus, "workers": int(workers)}
@@ -309,15 +313,15 @@ def run_robustness_bench(dimension: int = 4,
     fresh_wall = _timed_best(
         lambda: solve_system_sharded(dispatch_system, shards=workers,
                                      max_workers=workers,
-                                     backoff_seconds=0.0),
+                                     backoff=_NO_BACKOFF),
         repeats)
     with WorkerPool(workers=workers) as dispatch_pool:
         solve_system_sharded(dispatch_system, shards=workers,
-                             pool=dispatch_pool, backoff_seconds=0.0)
+                             pool=dispatch_pool, backoff=_NO_BACKOFF)
         persistent_wall = _timed_best(
             lambda: solve_system_sharded(dispatch_system, shards=workers,
                                          pool=dispatch_pool,
-                                         backoff_seconds=0.0),
+                                         backoff=_NO_BACKOFF),
             repeats)
     report["dispatch"] = {
         "scenario": "speelpenning-2",
@@ -341,7 +345,7 @@ def run_robustness_bench(dimension: int = 4,
                 return solve_system_sharded(
                     scenario_system, shards=shards, pool=pool,
                     options=opts, escalation=policy, batch_size=chunk,
-                    backoff_seconds=0.0)
+                    backoff=_NO_BACKOFF)
             last = persistent_solve()  # warm the pool before timing
             persistent_wall = _timed_best(persistent_solve, repeats)
         single_ref = solve_system(scenario_system, options=opts,
@@ -395,7 +399,7 @@ def run_scenario_shard_bench(scenarios=None, workers: int = 2,
         begin = time.perf_counter()
         sharded = solve_system_sharded(
             system, shards=workers, max_workers=workers, options=opts,
-            escalation=policy, backoff_seconds=0.0)
+            escalation=policy, backoff=_NO_BACKOFF)
         sharded_wall = time.perf_counter() - begin
         entry = scenario.as_dict()
         entry.update({

@@ -224,13 +224,12 @@ class VectorisedBatchEvaluator:
     Buffer ownership
     ----------------
     The walk path builds fresh accumulator arrays per call, so its rows
-    belong to the caller outright.  The plan path with arenas enabled (the
-    default, :func:`~repro.core.evalplan.use_plan_arenas`) returns rows
-    owned by the plan's persistent :class:`~repro.multiprec.bufferpool.
-    PlanArena`: they are valid -- and freely mutable, the batched linear
-    solver writes into them with ``copy=False`` -- until the *next*
-    ``evaluate`` call on the same evaluator, which overwrites them.
-    Callers that need the rows to outlive the next evaluation must copy.
+    belong to the caller outright.  The plan path returns rows owned by
+    the plan's persistent :class:`~repro.multiprec.bufferpool.PlanArena`:
+    they are valid -- and freely mutable, the batched linear solver writes
+    into them with ``copy=False`` -- until the *next* ``evaluate`` call on
+    the same evaluator, which overwrites them.  Callers that need the rows
+    to outlive the next evaluation must copy.
     """
 
     def __init__(self, system: PolynomialSystem, *,
@@ -261,9 +260,9 @@ class VectorisedBatchEvaluator:
 
     @property
     def plan_execution_stats(self):
-        """Arena-executor counters of the compiled plan: executions, plane
-        builds, power-table entries executed, step-cache hits/misses.
-        Compiles the plan on first access."""
+        """Execution counters of the compiled plan
+        (:class:`~repro.core.evalplan.PlanExecutionStats`).  Compiles the
+        plan on first access."""
         return self.plan.exec_stats
 
     def evaluate(self, points) -> BatchSystemEvaluation:

@@ -60,10 +60,15 @@ multiply chain) next to the matching counts of the walk path, which is how
 plan never schedules more work than the walk and wins >= 1.5x on workloads
 with shared supports.
 
+Plans have one execution path.  Every plane and accumulator row lands in
+a plan-owned :class:`~repro.multiprec.bufferpool.PlanArena` slot, sized
+once per lane count, so a steady-state execution allocates almost nothing
+and the rows it returns stay valid until the plan's next execution.
+
 The module-wide toggle (:func:`use_eval_plans`, default on) mirrors the
 fused-kernel switch of :mod:`repro.multiprec.bufferpool`: the walk path is
-kept as the differential reference, and flipping the toggle only trades
-execution schedule, never results.
+kept as the differential oracle of that one path, and flipping the toggle
+only trades execution schedule, never results.
 """
 
 from __future__ import annotations
@@ -91,12 +96,10 @@ __all__ = [
     "eval_plans_enabled",
     "homotopy_compile_cache_stats",
     "homotopy_walk_op_counts",
-    "plan_arenas_enabled",
     "pow_chain_multiplications",
     "require_lane_batch",
     "use_eval_plans",
     "use_homotopy_compile_cache",
-    "use_plan_arenas",
     "walk_op_counts",
 ]
 
@@ -127,35 +130,6 @@ def use_eval_plans(enabled: bool):
         yield
     finally:
         _PLANS_ENABLED = previous
-
-
-_ARENAS_ENABLED = True
-
-
-def plan_arenas_enabled() -> bool:
-    """Whether plan executions land in persistent per-plan arenas."""
-    return _ARENAS_ENABLED
-
-
-@contextmanager
-def use_plan_arenas(enabled: bool):
-    """Temporarily force (or suppress) the plan-arena execution path.
-
-    With arenas on (the default), every plan owns a
-    :class:`~repro.multiprec.bufferpool.PlanArena` of persistent result
-    rows, term planes and scratch planes, sized at first execution for a
-    lane count and reused across corrector iterations and predictor calls.
-    With arenas off, executions allocate fresh arrays per call (the PR 5
-    behaviour).  Both paths produce bit-for-bit identical results; the
-    switch exists for the A/B benchmark and the differential tests.
-    """
-    global _ARENAS_ENABLED
-    previous = _ARENAS_ENABLED
-    _ARENAS_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _ARENAS_ENABLED = previous
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +182,7 @@ def use_homotopy_compile_cache(enabled: bool):
     With the cache on (the default), two :class:`HomotopyPlan` instances
     over the same ``(start, target)`` coefficient structure share their
     compiled schedules, plane specs and op counts -- only the per-instance
-    execution state (arena buffers, step cache) is rebuilt, so instances
+    execution state (arena buffers, counters) is rebuilt, so instances
     stay safe to drive from different threads.  The artifacts are
     deterministic functions of the key, so the toggle trades compile time
     only, never results; it exists for the family-serving benchmark's
@@ -305,27 +279,18 @@ class PlanOpCounts:
 
 @dataclass
 class PlanExecutionStats:
-    """Run-time counters of one plan's executions (arena path).
-
-    ``power_entries`` counts the power-table entries actually *built*; a
-    step-cache hit (the predictor re-evaluating at the corrector's accepted
-    point inside one :meth:`~_PlanExecutor.step_scope`) reuses the previous
-    execution's ladders and builds none, which is what the tier-1
-    power-table-reuse test asserts.
-    """
+    """Run-time counters of one plan's executions."""
 
     executions: int = 0
-    plane_builds: int = 0
-    power_entries: int = 0
-    step_cache_hits: int = 0
-    step_cache_misses: int = 0
 
     def as_dict(self) -> Dict[str, int]:
+        # The step-cache keys stay, pinned at 0, for readers of the per-layer
+        # benchmark breakdown: the plans no longer cache rows across
+        # executions (the tracker stops re-running identical clipped steps
+        # instead, see StepControl.clipped_retries).
         return {"executions": self.executions,
-                "plane_builds": self.plane_builds,
-                "power_entries": self.power_entries,
-                "step_cache_hits": self.step_cache_hits,
-                "step_cache_misses": self.step_cache_misses}
+                "step_cache_hits": 0,
+                "step_cache_misses": 0}
 
 
 def walk_op_counts(system: PolynomialSystem) -> PlanOpCounts:
@@ -680,48 +645,18 @@ class _Compiler:
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-def _row_cache_layout(tag: str, schedules: List["_PolySchedule"]
-                      ) -> List[tuple]:
-    """Arena slot keys of a compiled system's accumulator rows, in a fixed
-    order (value rows first, then the sparse Jacobian entries): the unit
-    of the step-scoped per-lane row cache."""
-    layout: List[tuple] = [(tag, "val", i) for i in range(len(schedules))]
-    for i, schedule in enumerate(schedules):
-        layout.extend((tag, "jac", i, p) for p in sorted(schedule.jacobian))
-    return layout
-
-
 class _PlanExecutor:
     """Shared execution machinery of the single-system and homotopy plans.
 
-    Two execution modes share the compiled schedules:
-
-    * the **allocating** path (arenas off) builds fresh arrays per call --
-      the PR 5 behaviour, kept as the A/B reference;
-    * the **arena** path (default) lands every plane and accumulator row in
-      this plan's persistent :class:`~repro.multiprec.bufferpool.PlanArena`
-      through the backend's ``*_into`` kernels.  Slots are keyed by the op
-      graph, sized at the first execution for a lane count, and re-sized
-      only when the lane count changes (lane compression).  Buffers handed
-      out of an execution stay arena-owned: they are valid until the next
-      execution of the same plan, and callers may freely mutate them in
-      between (the batched linear solver does) because every execution
-      fully overwrites every row it returns.
-
-    Inside a :meth:`step_scope`, executions remember the accumulated
-    system rows *per lane*, keyed by the byte-exact column of that lane's
-    points.  The rows (values and Jacobian entries of each compiled
-    system) are functions of the points alone -- the homotopy parameter
-    ``t`` enters only the blend weights -- and every batched kernel is
-    element-wise across lanes, so a lane's rows at a given column are the
-    same bits no matter which batch they were computed in.  When every
-    lane of an execution hits the cache, the rows are gathered back into
-    the arena slots and the plane build plus both accumulation passes are
-    skipped outright; this is how the tangent predictor's evaluation at
-    the corrector's accepted points (just evaluated, in a differently
-    compressed batch) becomes a pure dedup.  The cache stores copies, so
-    the solver mutating returned rows in place cannot corrupt it, and the
-    content key makes stale hits impossible by construction.
+    Every plane and accumulator row lands in this plan's persistent
+    :class:`~repro.multiprec.bufferpool.PlanArena` through the backend's
+    ``*_into`` kernels.  Slots are keyed by the op graph, sized at the
+    first execution for a lane count, and re-sized only when the lane
+    count changes (lane compression).  Buffers handed out of an execution
+    stay arena-owned: they are valid until the next execution of the same
+    plan, and callers may freely mutate them in between (the batched
+    linear solver does) because every execution fully overwrites every row
+    it returns.
     """
 
     backend: ComplexBatchBackend
@@ -730,105 +665,14 @@ class _PlanExecutor:
     def _init_execution_state(self) -> None:
         self._arena = PlanArena()
         self.exec_stats = PlanExecutionStats()
-        self._step_depth = 0
-        #: lane column bytes -> (rows, components) float matrix of that
-        #: lane's accumulated system rows (copies, content-addressed).
-        self._lane_cache: Dict[bytes, np.ndarray] = {}
 
     @property
     def arena(self) -> PlanArena:
         """This plan's persistent buffer arena (hit/miss/resize counters)."""
         return self._arena
 
-    @contextmanager
-    def step_scope(self):
-        """Open a per-lane row cache across executions of this plan.
-
-        The tracker wraps each batch-tracking run in this scope so the
-        tangent predictor's evaluation at the corrector's accepted points
-        reuses the corrector's already-accumulated system rows -- power
-        ladders, term planes and accumulation passes are skipped when
-        every lane of the batch was evaluated before (the rows are
-        bit-for-bit identical by construction since every kernel is
-        element-wise across lanes).  Scopes nest; the cache drops when the
-        outermost scope closes.  Lane compression cannot go stale: the
-        cache is keyed by lane *content*, not batch shape.
-        """
-        self._step_depth += 1
-        try:
-            yield self
-        finally:
-            self._step_depth -= 1
-            if self._step_depth == 0:
-                self._lane_cache.clear()
-
-    def _lane_keys(self, points) -> Optional[List[bytes]]:
-        """Byte-exact per-lane keys of a point batch (None: no planes)."""
-        planes = self.backend.component_planes(points)
-        if planes is None:
-            return None
-        stacked = np.stack([np.asarray(p) for p in planes])
-        columns = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
-        return [columns[lane].tobytes() for lane in range(columns.shape[0])]
-
-    def _row_slots(self, lanes: int) -> List:
-        """The arena slots of every cacheable accumulator row, in the
-        fixed ``self._cache_layout`` order."""
-        factory = self._zeros_factory(lanes)
-        slot = self._arena.slot
-        return [slot(key, factory) for key in self._cache_layout]
-
-    def _step_lookup(self, points, lanes: int) -> Tuple[Optional[List[bytes]],
-                                                        Optional[List]]:
-        """Row-cache probe: ``(keys, rows)``; rows are the filled arena
-        slots on an all-lane hit, None on a miss (or outside a scope)."""
-        if self._step_depth <= 0:
-            return None, None
-        keys = self._lane_keys(points)
-        if keys is None:
-            return None, None
-        cache = self._lane_cache
-        if cache:
-            try:
-                data = np.stack([cache[key] for key in keys], axis=-1)
-            except KeyError:
-                data = None
-            if data is not None:
-                rows = self._row_slots(lanes)
-                backend = self.backend
-                for r, row in enumerate(rows):
-                    for c, plane in enumerate(backend.component_planes(row)):
-                        np.asarray(plane)[...] = data[r, c]
-                self.exec_stats.step_cache_hits += 1
-                return keys, rows
-        self.exec_stats.step_cache_misses += 1
-        return keys, None
-
-    def _step_store(self, keys: List[bytes], rows: List) -> None:
-        """Snapshot freshly accumulated rows into the per-lane cache.
-
-        Copies are taken *before* the rows are handed out, so the blend
-        and the batched solver mutating them in place (both do) cannot
-        reach the cached bits.
-        """
-        backend = self.backend
-        data = np.stack([np.stack([np.asarray(p) for p in
-                                   backend.component_planes(row)])
-                         for row in rows])
-        per_lane = np.ascontiguousarray(np.moveaxis(data, -1, 0))
-        cache = self._lane_cache
-        if len(cache) > 1024:  # generational cap: hits come from the
-            cache.clear()      # current round, not deep history
-        for lane, key in enumerate(keys):
-            cache[key] = per_lane[lane]
-
     def _zeros_factory(self, lanes: int):
         return lambda: self.backend.zeros((lanes,))
-
-    def _planes_for(self, points, lanes: int) -> List:
-        """Arena-path plane building (row-cache misses land here)."""
-        self.exec_stats.plane_builds += 1
-        return self._compute_planes_arena(points, lanes)
 
     def _pow_into(self, out, base, exponent: int):
         """``base ** exponent`` landed in ``out``, replaying ``__pow__``.
@@ -872,7 +716,7 @@ class _PlanExecutor:
             result = backend.copy_into(out, ones)
         return result
 
-    def _compute_planes_arena(self, points, lanes: int) -> List:
+    def _compute_planes(self, points, lanes: int) -> List:
         backend = self.backend
         arena = self._arena
         factory = self._zeros_factory(lanes)
@@ -884,7 +728,6 @@ class _PlanExecutor:
             elif kind == "power":
                 slot = arena.slot(("plane", pid), factory)
                 planes[pid] = self._pow_into(slot, planes[spec[1]], spec[2])
-                self.exec_stats.power_entries += 1
             elif kind == "sweep":
                 factors = [planes[rp] for rp in spec[1]]
                 planes[pid] = speelpenning_gradient(factors)[0]
@@ -902,11 +745,11 @@ class _PlanExecutor:
                 slot = arena.slot(("plane", pid), factory)
                 planes[pid] = backend.mul_into(
                     slot,
-                    self._atom_arena(spec[1], planes, lanes),
-                    self._atom_arena(spec[2], planes, lanes))
+                    self._atom(spec[1], planes, lanes),
+                    self._atom(spec[2], planes, lanes))
         return planes
 
-    def _atom_arena(self, atom: tuple, planes: List, lanes: int):
+    def _atom(self, atom: tuple, planes: List, lanes: int):
         kind, payload = atom
         if kind == "plane":
             return planes[payload]
@@ -917,8 +760,8 @@ class _PlanExecutor:
         return self._arena.slot(("const", payload),
                                 lambda: backend.full((lanes,), payload))
 
-    def _run_entries_into(self, entries: List[tuple], planes: List,
-                          lanes: int, out):
+    def _run_entries(self, entries: List[tuple], planes: List, lanes: int,
+                     out):
         backend = self.backend
         acc = None
         for entry in entries:
@@ -929,19 +772,19 @@ class _PlanExecutor:
                 acc = backend.copy_into(out, planes[entry[1]])
             elif kind == "seed_mul":
                 acc = backend.mul_into(out,
-                                       self._atom_arena(entry[1], planes, lanes),
-                                       self._atom_arena(entry[2], planes, lanes))
+                                       self._atom(entry[1], planes, lanes),
+                                       self._atom(entry[2], planes, lanes))
             elif kind == "add":
-                acc = backend.iadd(acc, self._atom_arena(entry[1], planes, lanes))
+                acc = backend.iadd(acc, self._atom(entry[1], planes, lanes))
             else:  # "add_mul"
                 acc = backend.iadd_mul(acc,
-                                       self._atom_arena(entry[1], planes, lanes),
-                                       self._atom_arena(entry[2], planes, lanes))
+                                       self._atom(entry[1], planes, lanes),
+                                       self._atom(entry[2], planes, lanes))
         return acc
 
-    def _run_system_into(self, schedules: List[_PolySchedule], planes: List,
-                         lanes: int, tag: str
-                         ) -> Tuple[List, List[Dict[int, object]]]:
+    def _run_system(self, schedules: List[_PolySchedule], planes: List,
+                    lanes: int, tag: str
+                    ) -> Tuple[List, List[Dict[int, object]]]:
         backend = self.backend
         arena = self._arena
         factory = self._zeros_factory(lanes)
@@ -950,14 +793,14 @@ class _PlanExecutor:
         for i, schedule in enumerate(schedules):
             slot = arena.slot((tag, "val", i), factory)
             if schedule.value:
-                values.append(self._run_entries_into(schedule.value, planes,
-                                                     lanes, slot))
+                values.append(self._run_entries(schedule.value, planes,
+                                                lanes, slot))
             else:
                 values.append(backend.zero_into(slot))
             row: Dict[int, object] = {}
             for p, entries in schedule.jacobian.items():
                 jslot = arena.slot((tag, "jac", i, p), factory)
-                row[p] = self._run_entries_into(entries, planes, lanes, jslot)
+                row[p] = self._run_entries(entries, planes, lanes, jslot)
             rows.append(row)
         return values, rows
 
@@ -970,74 +813,6 @@ class _PlanExecutor:
         slot = self._arena.slot((tag, "jzero", i, j),
                                 self._zeros_factory(lanes))
         return self.backend.zero_into(slot)
-
-    def _atom(self, atom: tuple, planes: List, lanes: int):
-        kind, payload = atom
-        if kind == "plane":
-            return planes[payload]
-        if kind == "scalar":
-            return payload
-        return self.backend.full((lanes,), payload)  # "full"
-
-    def _compute_planes(self, points) -> List:
-        planes: List = [None] * len(self._specs)
-        lanes = points.shape[1]
-        for pid, spec in enumerate(self._specs):
-            kind = spec[0]
-            if kind == "row":
-                planes[pid] = points[spec[1]]
-            elif kind == "power":
-                planes[pid] = planes[spec[1]] ** spec[2]
-            elif kind == "sweep":
-                factors = [planes[rp] for rp in spec[1]]
-                planes[pid] = speelpenning_gradient(factors)[0]
-            elif kind == "grad":
-                planes[pid] = planes[spec[1]][spec[2]]
-            elif kind == "chain":
-                acc = None
-                for power in spec[1]:
-                    acc = planes[power] if acc is None else acc * planes[power]
-                planes[pid] = acc
-            else:  # "mul"
-                planes[pid] = (self._atom(spec[1], planes, lanes)
-                               * self._atom(spec[2], planes, lanes))
-        return planes
-
-    def _run_entries(self, entries: List[tuple], planes: List, lanes: int):
-        backend = self.backend
-        acc = None
-        for entry in entries:
-            kind = entry[0]
-            if kind == "seed":
-                acc = self._atom(entry[1], planes, lanes)
-            elif kind == "seed_copy":
-                # Shared planes are read-only; seeding copies so the
-                # accumulator's in-place adds cannot corrupt co-consumers.
-                acc = backend.copy(planes[entry[1]])
-            elif kind == "seed_mul":
-                acc = (self._atom(entry[1], planes, lanes)
-                       * self._atom(entry[2], planes, lanes))
-            elif kind == "add":
-                acc = backend.iadd(acc, self._atom(entry[1], planes, lanes))
-            else:  # "add_mul"
-                acc = backend.iadd_mul(acc,
-                                       self._atom(entry[1], planes, lanes),
-                                       self._atom(entry[2], planes, lanes))
-        return acc
-
-    def _run_system(self, schedules: List[_PolySchedule], planes: List,
-                    lanes: int) -> Tuple[List, List[Dict[int, object]]]:
-        backend = self.backend
-        values: List = []
-        rows: List[Dict[int, object]] = []
-        for schedule in schedules:
-            if schedule.value:
-                values.append(self._run_entries(schedule.value, planes, lanes))
-            else:
-                values.append(backend.zeros((lanes,)))
-            rows.append({p: self._run_entries(entries, planes, lanes)
-                         for p, entries in schedule.jacobian.items()})
-        return values, rows
 
 
 class EvaluationPlan(_PlanExecutor):
@@ -1073,45 +848,25 @@ class EvaluationPlan(_PlanExecutor):
         self.op_counts = compiler.op_counts([self._schedules])
         self.walk_counts = walk_op_counts(system)
         self.statistics = compiler.statistics()
-        self._cache_layout = _row_cache_layout("s", self._schedules)
         self._init_execution_state()
 
     def execute(self, points) -> Tuple[List, List[List]]:
         """Evaluate at an ``(n, B)`` lane batch; returns (values, jacobian).
 
-        With arenas on (the default) the returned rows are plan-owned
-        persistent buffers: valid and freely mutable until this plan's next
-        ``execute`` call, which overwrites them.
+        The returned rows are plan-owned arena buffers: valid and freely
+        mutable until this plan's next ``execute`` call, which overwrites
+        them.
         """
         require_lane_batch(points, self.dimension)
-        backend = self.backend
         n = self.dimension
         lanes = points.shape[1]
-        if plan_arenas_enabled():
-            self._arena.ensure(lanes)
-            keys, cached = self._step_lookup(points, lanes)
-            if cached is not None:
-                mapping = dict(zip(self._cache_layout, cached))
-                values = [mapping[("s", "val", i)] for i in range(n)]
-                rows = [{p: mapping[("s", "jac", i, p)]
-                         for p in schedule.jacobian}
-                        for i, schedule in enumerate(self._schedules)]
-            else:
-                planes = self._planes_for(points, lanes)
-                values, rows = self._run_system_into(self._schedules, planes,
-                                                     lanes, "s")
-                if keys is not None:
-                    self._step_store(keys, self._row_slots(lanes))
-            jacobian = [[row[j] if j in row else self._zero_row("s", i, j,
-                                                                lanes)
-                         for j in range(n)]
-                        for i, row in enumerate(rows)]
-            self.exec_stats.executions += 1
-            return values, jacobian
-        planes = self._compute_planes(points)
-        values, rows = self._run_system(self._schedules, planes, lanes)
-        jacobian = [[row[j] if j in row else backend.zeros((lanes,))
-                     for j in range(n)] for row in rows]
+        self._arena.ensure(lanes)
+        planes = self._compute_planes(points, lanes)
+        values, rows = self._run_system(self._schedules, planes, lanes, "s")
+        jacobian = [[row[j] if j in row else self._zero_row("s", i, j, lanes)
+                     for j in range(n)]
+                    for i, row in enumerate(rows)]
+        self.exec_stats.executions += 1
         return values, jacobian
 
 
@@ -1148,7 +903,6 @@ class HomotopyPlan(_PlanExecutor):
         self._jac_union = compiled["jac_union"]
         self.op_counts = compiled["op_counts"]
         self.walk_counts = compiled["walk_counts"]
-        self._cache_layout = compiled["cache_layout"]
         self._init_execution_state()
 
     @staticmethod
@@ -1159,7 +913,7 @@ class HomotopyPlan(_PlanExecutor):
         The artifacts -- schedules, plane specs, Jacobian union, op counts
         -- are deterministic in the two systems' coefficient structure and
         are strictly read-only at execution time, so instances may share
-        them; everything mutable (arena, step cache, statistics counters)
+        them; everything mutable (arena, statistics counters)
         lives in per-instance execution state.  This is what lets a
         parameter-homotopy family compile its member plan once and serve
         every subsequent query from the cache.
@@ -1205,8 +959,6 @@ class HomotopyPlan(_PlanExecutor):
             "op_counts": accumulation + PlanOpCounts(blend_muls, blend_adds),
             "walk_counts": homotopy_walk_op_counts(start_system,
                                                    target_system),
-            "cache_layout": (_row_cache_layout("g", g_schedules)
-                             + _row_cache_layout("f", f_schedules)),
         }
         if _COMPILE_CACHE_ENABLED:
             with _COMPILE_CACHE_LOCK:
@@ -1220,7 +972,8 @@ class HomotopyPlan(_PlanExecutor):
         """Evaluate ``h``, ``dh/dx``, ``dh/dt`` at per-lane parameters ``t``.
 
         Returns ``(values, jacobian, t_derivative)`` with the same layout
-        as :class:`~repro.tracking.homotopy.BatchHomotopyEvaluation`.
+        as :class:`~repro.tracking.homotopy.BatchHomotopyEvaluation`; every
+        row is a plan-owned arena buffer, valid until the next ``execute``.
         """
         if self.gamma is None:
             raise ConfigurationError("this HomotopyPlan was compiled without "
@@ -1229,63 +982,36 @@ class HomotopyPlan(_PlanExecutor):
         backend = self.backend
         n = self.dimension
         lanes = points.shape[1]
-        arenas = plan_arenas_enabled()
+        arena = self._arena
+        factory = self._zeros_factory(lanes)
+        arena.ensure(lanes)
+        planes = self._compute_planes(points, lanes)
+        g_values, g_rows = self._run_system(self._g_schedules, planes, lanes,
+                                            "g")
+        f_values, f_rows = self._run_system(self._f_schedules, planes, lanes,
+                                            "f")
 
-        if arenas:
-            self._arena.ensure(lanes)
-            keys, cached = self._step_lookup(points, lanes)
-            if cached is not None:
-                mapping = dict(zip(self._cache_layout, cached))
-                g_values = [mapping[("g", "val", i)] for i in range(n)]
-                f_values = [mapping[("f", "val", i)] for i in range(n)]
-                g_rows = [{p: mapping[("g", "jac", i, p)]
-                           for p in schedule.jacobian}
-                          for i, schedule in enumerate(self._g_schedules)]
-                f_rows = [{p: mapping[("f", "jac", i, p)]
-                           for p in schedule.jacobian}
-                          for i, schedule in enumerate(self._f_schedules)]
-            else:
-                planes = self._planes_for(points, lanes)
-                g_values, g_rows = self._run_system_into(self._g_schedules,
-                                                         planes, lanes, "g")
-                f_values, f_rows = self._run_system_into(self._f_schedules,
-                                                         planes, lanes, "f")
-                if keys is not None:
-                    self._step_store(keys, self._row_slots(lanes))
-        else:
-            planes = self._compute_planes(points)
-            g_values, g_rows = self._run_system(self._g_schedules, planes,
-                                                lanes)
-            f_values, f_rows = self._run_system(self._f_schedules, planes,
-                                                lanes)
-
+        # One up-front embedding per execution instead of one inside every
+        # blend kernel: ``embed_complex128`` is exactly the coercion the
+        # kernels apply to an ndarray operand, so the landed bits are
+        # unchanged.
         t = np.asarray(t, dtype=np.float64)
-        weight_g = self.gamma * (1.0 - t).astype(np.complex128)
-        weight_f = t.astype(np.complex128)
-        if arenas:
-            # One up-front embedding per execution instead of one inside
-            # every blend kernel: ``embed_complex128`` is exactly the
-            # coercion the kernels apply to an ndarray operand, so the
-            # landed bits are unchanged.
-            weight_g = backend.embed_complex128(weight_g)
-            weight_f = backend.embed_complex128(weight_f)
+        weight_g = backend.embed_complex128(
+            self.gamma * (1.0 - t).astype(np.complex128))
+        weight_f = backend.embed_complex128(t.astype(np.complex128))
 
         # h = weight_g * g + weight_f * f, landed with one product per row
-        # (into an arena row when arenas are on, the walk operand order
-        # either way) and an in-place weighted accumulate.
+        # into an arena row (the walk operand order) and an in-place
+        # weighted accumulate.
         values = []
         for i in range(n):
-            if arenas:
-                slot = self._arena.slot(("h", "val", i),
-                                        self._zeros_factory(lanes))
-                acc = backend.mul_into(slot, g_values[i], weight_g)
-            else:
-                acc = g_values[i] * weight_g
+            acc = backend.mul_into(arena.slot(("h", "val", i), factory),
+                                   g_values[i], weight_g)
             values.append(backend.iadd_mul(acc, f_values[i], weight_f))
 
         # dh/dt = f - gamma * g, in place in the target accumulators (they
-        # are plan-owned and no longer read after the value blend; the
-        # arena rows are reseeded by the next execution).
+        # are no longer read after the value blend and are reseeded by the
+        # next execution).
         t_derivative = [backend.isub_mul(f_values[i], g_values[i], self.gamma)
                         for i in range(n)]
 
@@ -1294,31 +1020,16 @@ class HomotopyPlan(_PlanExecutor):
             g_row, f_row = g_rows[i], f_rows[i]
             entries = dict()
             for j, has_g, has_f in self._jac_union[i]:
-                if arenas:
-                    slot = self._arena.slot(("h", "jac", i, j),
-                                            self._zeros_factory(lanes))
-                    if has_g and has_f:
-                        acc = backend.mul_into(slot, g_row[j], weight_g)
-                        entries[j] = backend.iadd_mul(acc, f_row[j], weight_f)
-                    elif has_g:
-                        entries[j] = backend.mul_into(slot, g_row[j], weight_g)
-                    else:
-                        entries[j] = backend.mul_into(slot, f_row[j], weight_f)
-                elif has_g and has_f:
-                    acc = g_row[j] * weight_g
+                slot = arena.slot(("h", "jac", i, j), factory)
+                if has_g and has_f:
+                    acc = backend.mul_into(slot, g_row[j], weight_g)
                     entries[j] = backend.iadd_mul(acc, f_row[j], weight_f)
                 elif has_g:
-                    entries[j] = g_row[j] * weight_g
+                    entries[j] = backend.mul_into(slot, g_row[j], weight_g)
                 else:
-                    entries[j] = f_row[j] * weight_f
-            if arenas:
-                jacobian.append([entries[j] if j in entries
-                                 else self._zero_row("h", i, j, lanes)
-                                 for j in range(n)])
-            else:
-                jacobian.append([entries[j] if j in entries
-                                 else backend.zeros((lanes,))
-                                 for j in range(n)])
-        if arenas:
-            self.exec_stats.executions += 1
+                    entries[j] = backend.mul_into(slot, f_row[j], weight_f)
+            jacobian.append([entries[j] if j in entries
+                             else self._zero_row("h", i, j, lanes)
+                             for j in range(n)])
+        self.exec_stats.executions += 1
         return values, jacobian, t_derivative

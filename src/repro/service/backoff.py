@@ -61,18 +61,6 @@ class BackoffPolicy:
             raise ConfigurationError(
                 f"backoff jitter must lie in [0, 1), got {self.jitter!r}")
 
-    @classmethod
-    def from_legacy_seconds(cls, backoff_seconds: float) -> "BackoffPolicy":
-        """Adapt the historical ``backoff_seconds * 2**n`` knob.
-
-        The legacy schedule was uncapped and unjittered; the adapter keeps
-        the base and doubling but caps the wait at 16x the base so a deep
-        retry chain cannot stall the coordinator for minutes."""
-        if backoff_seconds <= 0.0:
-            return cls(base=0.0, cap=0.0, jitter=0.0)
-        return cls(base=backoff_seconds, factor=2.0,
-                   cap=16.0 * backoff_seconds, jitter=0.0)
-
     def delay(self, attempt: int, rng: Optional[random.Random] = None) -> float:
         """The wait before retry ``attempt`` (1-based); never negative."""
         if attempt < 1:

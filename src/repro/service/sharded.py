@@ -83,6 +83,11 @@ __all__ = ["FaultInjection", "solve_system_sharded"]
 FAULT_MODES = ("kill", "hang", "slow", "corrupt-checkpoint",
                "store-io-error")
 
+#: The retry backoff of :func:`solve_system_sharded` when none is passed:
+#: 0.05 s, doubling per retry up to 0.8 s, unjittered.
+DEFAULT_RETRY_BACKOFF = BackoffPolicy(base=0.05, factor=2.0, cap=0.8,
+                                      jitter=0.0)
+
 
 @dataclass(frozen=True)
 class FaultInjection:
@@ -204,8 +209,7 @@ def solve_system_sharded(system: PolynomialSystem, *,
                          escalation: Optional[EscalationPolicy] = None,
                          start: Optional[StartStrategy] = None,
                          max_retries: int = 2,
-                         backoff: Optional[BackoffPolicy] = None,
-                         backoff_seconds: float = 0.05,
+                         backoff: BackoffPolicy = DEFAULT_RETRY_BACKOFF,
                          timeout: Optional[float] = None,
                          heartbeat_timeout: float = 30.0,
                          cancel_grace: float = 1.0,
@@ -252,11 +256,9 @@ def solve_system_sharded(system: PolynomialSystem, *,
     backoff:
         The capped, jittered :class:`~repro.service.backoff.BackoffPolicy`
         scheduled (never slept on the coordinator thread) before each
-        reschedule.  Defaults to
-        ``BackoffPolicy.from_legacy_seconds(backoff_seconds)``.
-    backoff_seconds:
-        Legacy base-seconds knob, honoured when ``backoff`` is omitted;
-        0 disables waiting.
+        reschedule.  Defaults to :data:`DEFAULT_RETRY_BACKOFF` (0.05 s
+        doubling per retry up to 0.8 s, no jitter);
+        ``BackoffPolicy(base=0.0)`` disables waiting.
     timeout:
         Per-task deadline in seconds: a worker past it receives a
         cooperative cancel between tracker rounds and is killed only if it
@@ -339,9 +341,6 @@ def solve_system_sharded(system: PolynomialSystem, *,
     if fault_injection is not None and fault_injection.mode == "store-io-error":
         flaky = _FaultyReadStore(store)
         store = flaky
-
-    retry_backoff = backoff if backoff is not None \
-        else BackoffPolicy.from_legacy_seconds(backoff_seconds)
 
     owns_pool = pool is None
     if owns_pool:
@@ -471,7 +470,7 @@ def solve_system_sharded(system: PolynomialSystem, *,
         run = supervisor.run(
             payloads, deadline=timeout, max_retries=max_retries,
             quarantine_after=quarantine_after_kills,
-            retry_backoff=retry_backoff, on_retry=on_retry,
+            retry_backoff=backoff, on_retry=on_retry,
             fallback=allow_inprocess_fallback)
 
         stats["hangs_detected"] += run.hangs_detected

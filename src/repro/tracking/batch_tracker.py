@@ -297,6 +297,11 @@ class PathBatch:
     path ``b``, so selecting a lane subset is one fancy-indexing operation
     per array -- no per-path objects are ever materialised.
 
+    ``attempts`` counts the step attempts of the current tracking run, the
+    ones :meth:`~repro.tracking.tracker.StepControl.clipped_retries`
+    skipped included; a lane that reaches ``max_steps`` retires.  It is
+    not checkpointed: a resumed run starts a fresh ``max_steps`` budget.
+
     A batch is constructed either fresh at ``t = 0``
     (:meth:`from_start_solutions`) or mid-path from per-lane
     :class:`LaneCheckpoint` state (:meth:`from_checkpoints`), and every lane
@@ -319,6 +324,7 @@ class PathBatch:
     steps_rejected: np.ndarray
     newton_iterations: np.ndarray
     consecutive_successes: np.ndarray
+    attempts: np.ndarray
 
     @classmethod
     def from_start_solutions(cls, backend: ComplexBatchBackend,
@@ -359,6 +365,7 @@ class PathBatch:
             steps_rejected=np.zeros(lanes, dtype=np.int64),
             newton_iterations=np.zeros(lanes, dtype=np.int64),
             consecutive_successes=np.zeros(lanes, dtype=np.int64),
+            attempts=np.zeros(lanes, dtype=np.int64),
         )
 
     @classmethod
@@ -461,6 +468,7 @@ class PathBatch:
                                        dtype=np.int64),
             consecutive_successes=np.array([cp.consecutive_successes
                                             for cp in checkpoints], dtype=np.int64),
+            attempts=np.zeros(lanes, dtype=np.int64),
         )
 
     @property
@@ -489,6 +497,7 @@ class PathBatch:
             steps_rejected=self.steps_rejected[lanes].copy(),
             newton_iterations=self.newton_iterations[lanes].copy(),
             consecutive_successes=self.consecutive_successes[lanes].copy(),
+            attempts=self.attempts[lanes].copy(),
         )
 
     def scatter(self, lanes: np.ndarray, sub: "PathBatch") -> None:
@@ -507,6 +516,7 @@ class PathBatch:
         self.steps_rejected[lanes] = sub.steps_rejected
         self.newton_iterations[lanes] = sub.newton_iterations
         self.consecutive_successes[lanes] = sub.consecutive_successes
+        self.attempts[lanes] = sub.attempts
 
     def retire(self, mask: np.ndarray, status: PathStatus) -> None:
         """Mark lanes under ``mask`` finished with the given status."""
@@ -734,10 +744,9 @@ class BatchTracker:
     # ------------------------------------------------------------------
     @property
     def plan_execution_stats(self):
-        """Arena-executor counters of the homotopy's compiled plan
-        (executions, plane builds, power entries, step-cache hits/misses).
-        Compiles the plan on first access; counters accumulate across
-        runs."""
+        """Execution counters of the homotopy's compiled plan
+        (:class:`~repro.core.evalplan.PlanExecutionStats`).  Compiles the
+        plan on first access; counters accumulate across runs."""
         return self.homotopy.plan.exec_stats
 
     # ------------------------------------------------------------------
@@ -754,10 +763,8 @@ class BatchTracker:
         # Lanes that diverge or retire carry inf/NaN through the masked
         # batch arithmetic (predictor, corrector, endgame); the errstate
         # scope keeps them from spraying RuntimeWarnings while the status
-        # masks report the failures.  The plan step scope lets the tangent
-        # predictor reuse the corrector's power ladders at the accepted
-        # point (a no-op when plans or arenas are off).
-        with masked_lane_errstate(), self.homotopy.plan_step_scope():
+        # masks report the failures.
+        with masked_lane_errstate():
             return self._track_one_batch_inner(starts, checkpoints)
 
     def _track_one_batch_inner(self,
@@ -814,9 +821,12 @@ class BatchTracker:
                                          batch.points)
             batch.retire(batch.active & ~started.converged, PathStatus.START_FAILED)
 
-        while batch.active.any() and batch.rounds < opts.max_steps:
+        while True:
+            lanes = np.flatnonzero(batch.active
+                                   & (batch.attempts < opts.max_steps))
+            if not lanes.size:
+                break
             batch.rounds += 1
-            lanes = np.flatnonzero(batch.active)
             sub = batch.select(lanes)
             self._advance(sub)
             batch.scatter(lanes, sub)
@@ -831,6 +841,7 @@ class BatchTracker:
         backend = self.backend
         control = self._step_control
 
+        sub.attempts += 1
         next_t = np.minimum(1.0, sub.t + sub.dt)
         predicted = self._predictor.predict(
             self.homotopy, sub.points, sub.prev_points,
@@ -862,9 +873,16 @@ class BatchTracker:
             sub.active &= ~finished
 
         if rejected.any():
-            sub.steps_rejected += rejected
             sub.consecutive_successes[rejected] = 0
             sub.dt = np.where(rejected, control.shrunk(sub.dt), sub.dt)
+            # Retries of a rejection clipped to t = 1 repeat it bit for bit:
+            # skip them, charged as if they ran.
+            budget = np.where(rejected & (next_t == 1.0),
+                              opts.max_steps - sub.attempts, 0)
+            sub.dt, retries = control.clipped_retries(sub.t, sub.dt, budget)
+            sub.attempts += retries
+            sub.steps_rejected += rejected + retries
+            sub.newton_iterations += retries * corrected.iterations
             sub.retire(rejected & control.underflowed(sub.dt),
                        PathStatus.STEP_UNDERFLOW)
 

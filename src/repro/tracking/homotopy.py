@@ -223,26 +223,6 @@ class BatchHomotopy:
 
         return eval_plans_enabled()
 
-    def plan_step_scope(self):
-        """A step scope over the compiled plan, or a no-op context.
-
-        The tracker opens this around each batch-tracking run so
-        consecutive plan executions at bit-identical points -- the Newton
-        corrector's accepted evaluation followed by the tangent predictor's
-        -- reuse the already-built power ladders and term planes.  Falls
-        back to a null context when the walk path or the arena executor is
-        disabled (the allocating paths have no cross-call cache).
-        """
-        from contextlib import nullcontext
-
-        from ..core.evalplan import plan_arenas_enabled  # local import: cycle
-
-        enabled = self.use_plan if self.use_plan is not None \
-            else self._plans_enabled()
-        if enabled and plan_arenas_enabled():
-            return self.plan.step_scope()
-        return nullcontext()
-
     class _Frozen:
         """Adapter exposing a batched evaluator interface for fixed ``t``."""
 

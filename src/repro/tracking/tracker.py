@@ -53,7 +53,7 @@ class TrackerOptions:
 class StepControl:
     """The adaptive step-size policy, shared by the scalar and batch engines.
 
-    All three rules operate equally on Python floats and on per-lane NumPy
+    Every rule operates equally on Python floats and on per-lane NumPy
     arrays, so the batched tracker makes exactly the decisions the scalar
     loop would make for each path individually.
     """
@@ -81,6 +81,33 @@ class StepControl:
     def underflowed(self, dt):
         """Whether the step fell below the giving-up threshold."""
         return dt < self.min_step
+
+    def clipped_retries(self, t, dt, budget):
+        """Skip the retries of a rejected step whose target stays at 1.0.
+
+        A step from ``t`` targets ``min(1, t + dt)``.  When a rejected
+        attempt was clipped to 1.0 and the shrunk step still reaches 1.0,
+        the retry starts from the same point, predicts to the same target
+        and runs the same corrector: a bit-for-bit repeat of the rejection.
+        Given the step ``dt`` already shrunk once after such a rejection,
+        this replays :meth:`shrunk` while ``t + dt >= 1.0``, the step has
+        not underflowed and fewer than ``budget`` retries were replayed.
+
+        Returns ``(dt, k)``: the step after the ``k`` skipped retries.
+        The caller charges each of them as if it ran -- one rejected step,
+        the rejected attempt's Newton iterations and one attempt against
+        ``max_steps`` -- so the end state matches the per-attempt loop.
+        A ``budget`` of 0 skips nothing, which is how callers exempt steps
+        (or lanes) whose rejected attempt was not clipped.
+        """
+        dt = np.asarray(dt, dtype=np.float64)
+        k = np.zeros(dt.shape, dtype=np.int64)
+        while True:
+            again = (t + dt >= 1.0) & ~self.underflowed(dt) & (k < budget)
+            if not np.any(again):
+                return dt, k
+            dt = np.where(again, self.shrunk(dt), dt)
+            k = k + again
 
     @staticmethod
     def resumed(dt, collapsed, initial_step):
@@ -198,6 +225,13 @@ class PathTracker:
             else:
                 rejected += 1
                 dt = self._step_control.shrunk(dt)
+                if next_t == 1.0:
+                    dt, retries = self._step_control.clipped_retries(
+                        t, dt, opts.max_steps - steps)
+                    dt, retries = float(dt), int(retries)
+                    steps += retries
+                    rejected += retries
+                    newton_total += retries * result.iterations
                 if self._step_control.underflowed(dt):
                     return PathResult(success=False, solution=point,
                                       residual=result.residual_norm,

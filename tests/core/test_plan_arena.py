@@ -1,11 +1,11 @@
-"""Lifecycle and reuse tests for the plan-arena executor.
+"""Lifecycle tests for the plan-arena executor.
 
-The arena path must stay bit-for-bit with the allocating plan path (which
-the differential suite in ``test_evalplan.py`` pins against the walk), and
-its persistent buffers must obey their lifecycle contract: exactly one
-re-size per lane-count change, step-scoped plane reuse that is a pure
-dedup, and exception-safety without scoped releases (an aborted execution
-leaves the arena fully reusable and the scratch stack at depth zero).
+The arena executor -- the plans' one execution path -- must stay
+bit-for-bit with its oracle, the walk path (``use_eval_plans(False)``),
+and its persistent buffers must obey their lifecycle contract: exactly
+one re-size per lane-count change, and exception-safety without scoped
+releases (an aborted execution leaves the arena fully reusable and the
+scratch stack at depth zero).
 """
 
 from __future__ import annotations
@@ -14,20 +14,14 @@ import numpy as np
 import pytest
 
 from repro.core.batch import VectorisedBatchEvaluator
-from repro.core.evalplan import (
-    EvaluationPlan,
-    HomotopyPlan,
-    eval_plans_enabled,
-    plan_arenas_enabled,
-    use_eval_plans,
-    use_plan_arenas,
-)
+from repro.core.evalplan import EvaluationPlan, HomotopyPlan, use_eval_plans
 from repro.multiprec.backend import backend_for_context, masked_lane_errstate
 from repro.multiprec.bufferpool import plane_stack, use_fused_kernels
 from repro.multiprec.numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE
 from repro.polynomials.monomial import Monomial
 from repro.polynomials.polynomial import Polynomial
 from repro.polynomials.system import PolynomialSystem
+from repro.tracking.homotopy import BatchHomotopy
 from repro.tracking.start_systems import total_degree_start_system
 
 ALL_CONTEXTS = (DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE)
@@ -77,6 +71,13 @@ def snapshot(values, jacobian, context):
     return copy, jcopy
 
 
+def walk_evaluation(system, backend, points):
+    """The walk oracle's (values, jacobian) for one system."""
+    walk = VectorisedBatchEvaluator(system, backend=backend, use_plan=False)
+    result = walk.evaluate(points)
+    return result.values, result.jacobian
+
+
 def assert_matches_snapshot(values, jacobian, snap, context):
     vals, jac = snap
     for v, planes in zip(values, vals):
@@ -88,23 +89,7 @@ def assert_matches_snapshot(values, jacobian, snap, context):
                 assert np.array_equal(pa, pb, equal_nan=True)
 
 
-class TestToggle:
-    def test_round_trip(self):
-        assert plan_arenas_enabled()  # default on
-        with use_plan_arenas(False):
-            assert not plan_arenas_enabled()
-            with use_plan_arenas(True):
-                assert plan_arenas_enabled()
-            assert not plan_arenas_enabled()
-        assert plan_arenas_enabled()
-
-    def test_independent_of_plan_toggle(self):
-        with use_eval_plans(False):
-            assert plan_arenas_enabled()
-            assert not eval_plans_enabled()
-
-
-class TestArenaVsAllocating:
+class TestArenaVsWalk:
     @pytest.mark.parametrize("context", ALL_CONTEXTS, ids=lambda c: c.name)
     def test_single_system_bit_for_bit(self, context):
         system = example_system()
@@ -112,11 +97,9 @@ class TestArenaVsAllocating:
         points = lane_points(backend, 3, 5, seed=1)
         plan = EvaluationPlan(system, backend=backend)
         with masked_lane_errstate():
-            with use_plan_arenas(True):
-                av, aj = plan.execute(points)
-                arena_snap = snapshot(av, aj, context)
-            with use_plan_arenas(False):
-                bv, bj = plan.execute(points)
+            av, aj = plan.execute(points)
+            arena_snap = snapshot(av, aj, context)
+            bv, bj = walk_evaluation(system, backend, points)
         assert_matches_snapshot(bv, bj, arena_snap, context)
         assert plan.exec_stats.executions == 1
 
@@ -128,16 +111,20 @@ class TestArenaVsAllocating:
         points = lane_points(backend, 3, 4, seed=2)
         t = np.random.default_rng(3).uniform(0.0, 1.0, size=4)
         plan = HomotopyPlan(start, target, gamma=0.6 - 0.8j, backend=backend)
+        walk = BatchHomotopy(start, target, gamma=0.6 - 0.8j,
+                             backend=backend, use_plan=False)
         with masked_lane_errstate():
-            with use_plan_arenas(True):
-                av, aj, ad = plan.execute(points, t)
-                arena_snap = snapshot(av, aj, context)
-                dt_snap = [np.array(p, copy=True)
-                           for d in ad for p in planes_of(d, context)]
-            with use_plan_arenas(False):
-                bv, bj, bd = plan.execute(points, t)
-        assert_matches_snapshot(bv, bj, arena_snap, context)
-        flat = [p for d in bd for p in planes_of(d, context)]
+            av, aj, ad = plan.execute(points, t)
+            arena_snap = snapshot(av, aj, context)
+            dt_snap = [np.array(p, copy=True)
+                       for d in ad for p in planes_of(d, context)]
+            reference = walk.evaluate_batch(points, t)
+        # Entries only one system touches may differ from the walk in the
+        # sign of a zero, which array_equal ignores (see evalplan).
+        assert_matches_snapshot(reference.values, reference.jacobian,
+                                arena_snap, context)
+        flat = [p for d in reference.t_derivative
+                for p in planes_of(d, context)]
         for pa, pb in zip(dt_snap, flat):
             assert np.array_equal(pa, pb, equal_nan=True)
 
@@ -147,21 +134,20 @@ class TestLifecycle:
         system = example_system()
         backend = backend_for_context(DOUBLE)
         plan = EvaluationPlan(system, backend=backend)
-        with use_plan_arenas(True):
-            plan.execute(lane_points(backend, 3, 8, seed=4))
-            assert plan.arena.resizes == 0
-            slots_at_8 = len(plan.arena)
-            # Same lane count: no re-size, every slot a hit.
-            misses_before = plan.arena.misses
-            plan.execute(lane_points(backend, 3, 8, seed=5))
-            assert plan.arena.resizes == 0
-            assert plan.arena.misses == misses_before
-            # Lane compression: exactly one re-size, then stability again.
-            plan.execute(lane_points(backend, 3, 3, seed=6))
-            assert plan.arena.resizes == 1
-            assert len(plan.arena) == slots_at_8
-            plan.execute(lane_points(backend, 3, 3, seed=7))
-            assert plan.arena.resizes == 1
+        plan.execute(lane_points(backend, 3, 8, seed=4))
+        assert plan.arena.resizes == 0
+        slots_at_8 = len(plan.arena)
+        # Same lane count: no re-size, every slot a hit.
+        misses_before = plan.arena.misses
+        plan.execute(lane_points(backend, 3, 8, seed=5))
+        assert plan.arena.resizes == 0
+        assert plan.arena.misses == misses_before
+        # Lane compression: exactly one re-size, then stability again.
+        plan.execute(lane_points(backend, 3, 3, seed=6))
+        assert plan.arena.resizes == 1
+        assert len(plan.arena) == slots_at_8
+        plan.execute(lane_points(backend, 3, 3, seed=7))
+        assert plan.arena.resizes == 1
 
     def test_results_correct_across_resize(self):
         system = example_system()
@@ -171,11 +157,9 @@ class TestLifecycle:
         narrow = lane_points(backend, 3, 2, seed=9)
         with masked_lane_errstate():
             for points in (wide, narrow, wide):
-                with use_plan_arenas(True):
-                    av, aj = plan.execute(points)
-                    snap = snapshot(av, aj, DOUBLE_DOUBLE)
-                with use_plan_arenas(False):
-                    bv, bj = plan.execute(points)
+                av, aj = plan.execute(points)
+                snap = snapshot(av, aj, DOUBLE_DOUBLE)
+                bv, bj = walk_evaluation(system, backend, points)
                 assert_matches_snapshot(bv, bj, snap, DOUBLE_DOUBLE)
 
     @pytest.mark.parametrize("context", (DOUBLE, DOUBLE_DOUBLE),
@@ -192,8 +176,7 @@ class TestLifecycle:
                 walk = evaluator.evaluate(points)
                 walk_snap = snapshot(walk.values, walk.jacobian, context)
             for fused in (True, False):
-                with use_fused_kernels(fused), use_plan_arenas(True), \
-                        use_eval_plans(True):
+                with use_fused_kernels(fused), use_eval_plans(True):
                     with use_eval_plans(False):
                         pass  # nested flip must restore cleanly
                     got = evaluator.evaluate(points)
@@ -205,7 +188,7 @@ class TestLifecycle:
         backend = backend_for_context(DOUBLE_DOUBLE)
         points = lane_points(backend, 3, 5, seed=11)
         plan = EvaluationPlan(system, backend=backend)
-        with use_plan_arenas(True), masked_lane_errstate():
+        with masked_lane_errstate():
             plan.execute(points)  # size the arena
             boom = RuntimeError("injected mid-plan failure")
             calls = {"n": 0}
@@ -224,99 +207,12 @@ class TestLifecycle:
             finally:
                 backend.iadd_mul = original
             # No leaked scratch takes, no poisoned slots: the next
-            # execution fully overwrites and matches the allocating path.
+            # execution fully overwrites and matches the walk.
             assert plane_stack().depth() == 0
             av, aj = plan.execute(points)
             snap = snapshot(av, aj, DOUBLE_DOUBLE)
-        with use_plan_arenas(False), masked_lane_errstate():
-            bv, bj = plan.execute(points)
+            bv, bj = walk_evaluation(system, backend, points)
         assert_matches_snapshot(bv, bj, snap, DOUBLE_DOUBLE)
-
-
-class TestStepScopedReuse:
-    def test_second_execution_at_same_points_reuses_power_tables(self):
-        system = example_system()
-        backend = backend_for_context(DOUBLE_DOUBLE)
-        points = lane_points(backend, 3, 5, seed=12)
-        plan = EvaluationPlan(system, backend=backend)
-        per_build = plan.statistics["power_table_entries"]
-        assert per_build > 0
-        with use_plan_arenas(True), masked_lane_errstate():
-            with plan.step_scope():
-                av, aj = plan.execute(points)
-                first = snapshot(av, aj, DOUBLE_DOUBLE)
-                stats = plan.exec_stats
-                assert stats.plane_builds == 1
-                assert stats.power_entries == per_build
-                assert stats.step_cache_misses == 1
-                bv, bj = plan.execute(points)
-                # Pure dedup: zero new power-table entries, same bits.
-                assert stats.plane_builds == 1
-                assert stats.power_entries == per_build
-                assert stats.step_cache_hits == 1
-                assert_matches_snapshot(bv, bj, first, DOUBLE_DOUBLE)
-
-    def test_cache_invalidated_by_new_points_and_scope_exit(self):
-        system = example_system()
-        backend = backend_for_context(DOUBLE)
-        a = lane_points(backend, 3, 5, seed=13)
-        b = lane_points(backend, 3, 5, seed=14)
-        plan = EvaluationPlan(system, backend=backend)
-        with use_plan_arenas(True), masked_lane_errstate():
-            with plan.step_scope():
-                plan.execute(a)
-                plan.execute(b)  # different bits -> miss, planes rebuilt
-                assert plan.exec_stats.step_cache_hits == 0
-                assert plan.exec_stats.plane_builds == 2
-                av, aj = plan.execute(b)
-                assert plan.exec_stats.step_cache_hits == 1
-                snap = snapshot(av, aj, DOUBLE)
-            # Scope closed: no stale reuse on the next execution.
-            plan.execute(b)
-            assert plan.exec_stats.step_cache_hits == 1
-        with use_plan_arenas(False), masked_lane_errstate():
-            bv, bj = plan.execute(b)
-        assert_matches_snapshot(bv, bj, snap, DOUBLE)
-
-    def test_caller_mutating_points_after_a_miss_cannot_go_stale(self):
-        # The cached planes are built from a plan-owned copy; mutating the
-        # caller's buffer between calls must produce a miss (fingerprint
-        # differs) and fresh planes, not a hit on stale views.
-        system = example_system()
-        backend = backend_for_context(DOUBLE)
-        points = lane_points(backend, 3, 5, seed=15)
-        plan = EvaluationPlan(system, backend=backend)
-        with use_plan_arenas(True), masked_lane_errstate():
-            with plan.step_scope():
-                plan.execute(points)
-                points[0, 0] += 1.0 + 0.5j
-                av, aj = plan.execute(points)
-                assert plan.exec_stats.step_cache_hits == 0
-                snap = snapshot(av, aj, DOUBLE)
-        with use_plan_arenas(False), masked_lane_errstate():
-            bv, bj = plan.execute(points)
-        assert_matches_snapshot(bv, bj, snap, DOUBLE)
-
-    def test_tracker_run_hits_the_step_cache(self):
-        from repro.bench.eval_plan import (cyclic_quadratic_system,
-                                           start_solutions)
-        from repro.tracking.batch_tracker import BatchTracker, TrackerOptions
-
-        target = cyclic_quadratic_system(3)
-        start = total_degree_start_system(target)
-        tracker = BatchTracker(start, target, context=DOUBLE,
-                               options=TrackerOptions(predictor="tangent"))
-        results = tracker.track_many(start_solutions(target))
-        assert all(r.success for r in results)
-        stats = tracker.plan_execution_stats
-        per_build = tracker.homotopy.plan.statistics["power_table_entries"]
-        # The tangent predictor reuses the corrector's accepted-point
-        # planes: strictly fewer plane builds (hence power-table entries)
-        # than homotopy evaluations.
-        assert stats.step_cache_hits > 0
-        assert stats.plane_builds < stats.executions
-        assert stats.power_entries == stats.plane_builds * per_build
-        assert stats.power_entries < stats.executions * per_build
 
 
 class TestScaleFactorSharing:
@@ -349,6 +245,6 @@ class TestScaleFactorSharing:
             with use_eval_plans(False):
                 walk = evaluator.evaluate(points)
                 walk_snap = snapshot(walk.values, walk.jacobian, context)
-            with use_eval_plans(True), use_plan_arenas(True):
+            with use_eval_plans(True):
                 got = evaluator.evaluate(points)
         assert_matches_snapshot(got.values, got.jacobian, walk_snap, context)

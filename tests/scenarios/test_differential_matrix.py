@@ -4,8 +4,8 @@ Every tier-1 scenario (one per family: cyclic, katsura, noon,
 speelpenning-product, random-sparse, irregular-degree) is pushed through
 the engine identities the repository's perf work depends on:
 
-* **plans vs walk, arenas on vs off** -- the compiled evaluation schedule
-  and its arena executor must reproduce the naive walk *bit for bit* on a
+* **plans vs walk** -- the compiled evaluation schedule, executed out of
+  its arena, must reproduce the naive walk *bit for bit* on a
   ``BatchHomotopy`` evaluation (values, t-derivative, full Jacobian), at
   double-double so the hi/lo plane arithmetic is exercised too;
 * **batched vs scalar tracker** -- same solution sets on every family,
@@ -30,7 +30,7 @@ import pytest
 from repro.bench.eval_plan import _evaluations_identical, _lane_points
 from repro.bench.scenarios import get_scenario, tier1_scenarios
 from repro.core import CPUReferenceEvaluator, GPUEvaluator, SystemLayout
-from repro.core.evalplan import use_eval_plans, use_plan_arenas
+from repro.core.evalplan import use_eval_plans
 from repro.errors import ConfigurationError
 from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
 from repro.multiprec.backend import backend_for_context
@@ -96,7 +96,7 @@ END_TOLERANCE = 1e-10
 
 @pytest.mark.parametrize("scenario", TIER1, ids=SCENARIO_IDS)
 class TestPlanIdentity:
-    """Compiled plans and arenas reproduce the walk path bit for bit."""
+    """The compiled plans' arena executor reproduces the walk bit for bit."""
 
     @staticmethod
     def evaluations(scenario, context=DOUBLE_DOUBLE, lanes=6, seed=29):
@@ -109,19 +109,34 @@ class TestPlanIdentity:
         t = np.random.default_rng(seed + 1).uniform(0.1, 0.9, size=lanes)
         with use_eval_plans(False):
             walk = homotopy.evaluate_batch(points, t)
-        with use_eval_plans(True), use_plan_arenas(False):
+        with use_eval_plans(True):
             plan = homotopy.evaluate_batch(points, t)
-        with use_eval_plans(True), use_plan_arenas(True):
-            arena = homotopy.evaluate_batch(points, t)
-        return target.dimension, walk, plan, arena
+        return target.dimension, walk, plan
 
     def test_plan_matches_walk_bit_for_bit_dd(self, scenario):
-        dimension, walk, plan, _ = self.evaluations(scenario)
+        dimension, walk, plan = self.evaluations(scenario)
         assert _evaluations_identical(walk, plan, dimension, DOUBLE_DOUBLE)
 
-    def test_arena_matches_plan_bit_for_bit_dd(self, scenario):
-        dimension, _, plan, arena = self.evaluations(scenario)
-        assert _evaluations_identical(plan, arena, dimension, DOUBLE_DOUBLE)
+    def test_arena_matches_plan_bit_for_bit_dd(self, scenario, lanes=6, seed=29):
+        # A plan's arena buffers are reused across executions: a plan whose
+        # arena already served other points (at a larger lane count, so it
+        # was resized) must reproduce a fresh plan's first execution.
+        target = scenario.build_system()
+        start = total_degree_start_system(target)
+        backend = backend_for_context(DOUBLE_DOUBLE)
+        fresh, reused = (BatchHomotopy(start, target, context=DOUBLE_DOUBLE,
+                                       backend=backend) for _ in range(2))
+        points = _lane_points(backend, target.dimension, lanes, seed=seed)
+        t = np.random.default_rng(seed + 1).uniform(0.1, 0.9, size=lanes)
+        other = _lane_points(backend, target.dimension, lanes + 3,
+                             seed=seed + 2)
+        with use_eval_plans(True):
+            plan = fresh.evaluate_batch(points, t)
+            reused.evaluate_batch(other, np.full(lanes + 3, 0.5))
+            arena = reused.evaluate_batch(points, t)
+        assert reused.plan.arena.resizes >= 1
+        assert _evaluations_identical(plan, arena, target.dimension,
+                                      DOUBLE_DOUBLE)
 
 
 @pytest.mark.parametrize("scenario", TIER1, ids=SCENARIO_IDS)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.bench.eval_plan import _evaluations_identical, _lane_points
 from repro.bench.scenarios import SCENARIOS
-from repro.core.evalplan import use_eval_plans, use_plan_arenas
+from repro.core.evalplan import use_eval_plans
 from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
 from repro.multiprec.backend import backend_for_context
 from repro.tracking import TrackerOptions, solve_system
@@ -48,13 +48,9 @@ def test_plan_and_arena_identity_dd(scenario):
     t = np.random.default_rng(62).uniform(0.1, 0.9, size=8)
     with use_eval_plans(False):
         walk = homotopy.evaluate_batch(points, t)
-    with use_eval_plans(True), use_plan_arenas(False):
+    with use_eval_plans(True):
         plan = homotopy.evaluate_batch(points, t)
-    with use_eval_plans(True), use_plan_arenas(True):
-        arena = homotopy.evaluate_batch(points, t)
     assert _evaluations_identical(walk, plan, target.dimension, DOUBLE_DOUBLE)
-    assert _evaluations_identical(plan, arena, target.dimension,
-                                  DOUBLE_DOUBLE)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=ALL_IDS)

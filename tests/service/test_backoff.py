@@ -38,12 +38,19 @@ class TestDelaySchedule:
         policy = BackoffPolicy(base=0.1, factor=2.0, cap=10.0, jitter=0.5)
         assert policy.delay(3) == pytest.approx(0.4)
 
-    def test_legacy_adapter_keeps_base_and_doubling_but_caps(self):
-        policy = BackoffPolicy.from_legacy_seconds(0.05)
+    def test_sharded_default_doubles_from_base_up_to_the_cap(self):
+        import inspect
+
+        from repro.service.sharded import (DEFAULT_RETRY_BACKOFF,
+                                           solve_system_sharded)
+
+        parameters = inspect.signature(solve_system_sharded).parameters
+        policy = parameters["backoff"].default
+        assert policy is DEFAULT_RETRY_BACKOFF
         assert policy.delay(1) == pytest.approx(0.05)
         assert policy.delay(2) == pytest.approx(0.1)
-        assert policy.delay(20) == pytest.approx(0.8)  # 16x cap, not 2**19
-        assert BackoffPolicy.from_legacy_seconds(0.0).delay(9) == 0.0
+        assert policy.delay(20) == pytest.approx(0.8)  # capped, not 2**19
+        assert policy.delay(3, random.Random(1)) == policy.delay(3)  # no jitter
 
 
 class TestFakeClockScheduling:

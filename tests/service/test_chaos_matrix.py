@@ -21,12 +21,15 @@ from repro.bench.batch_tracking import cyclic_quadratic_system
 from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
 from repro.polynomials import Monomial, Polynomial, PolynomialSystem
 from repro.service import (
+    BackoffPolicy,
     FaultInjection,
     FileCheckpointStore,
     InMemoryCheckpointStore,
     solve_system_sharded,
 )
 from repro.tracking import EscalationPolicy, TrackerOptions, solve_system
+
+_NO_BACKOFF = BackoffPolicy(base=0.0)
 
 
 def decoupled_quadratics(values=(2.0, 3.0)):
@@ -75,7 +78,7 @@ def reference():
 def _drill(mode, store, **overrides):
     kwargs = dict(shards=2, options=ESCALATION_OPTS,
                   escalation=ESCALATION_POLICY, store=store,
-                  backoff_seconds=0.0, heartbeat_timeout=0.3,
+                  backoff=_NO_BACKOFF, heartbeat_timeout=0.3,
                   fault_injection=_DRILLS[mode])
     kwargs.update(overrides)
     return solve_system_sharded(cyclic_quadratic_system(4), **kwargs)
@@ -143,7 +146,7 @@ class TestQuarantine:
         system = decoupled_quadratics()
         reference = solve_system(system)
         report = solve_system_sharded(
-            system, shards=2, max_retries=5, backoff_seconds=0.0,
+            system, shards=2, max_retries=5, backoff=_NO_BACKOFF,
             quarantine_after_kills=3,
             fault_injection=FaultInjection(shard=0, level=0,
                                            kill_after_rounds=0, times=3))
@@ -163,7 +166,7 @@ class TestQuarantine:
         with pytest.raises(ShardFailedError, match="retries"):
             solve_system_sharded(
                 decoupled_quadratics(), shards=2, max_retries=2,
-                backoff_seconds=0.0, quarantine_after_kills=None,
+                backoff=_NO_BACKOFF, quarantine_after_kills=None,
                 fault_injection=FaultInjection(shard=0, level=0,
                                                kill_after_rounds=0,
                                                times=3))

@@ -57,10 +57,10 @@ class TestLifecycle:
             return "ok"
 
         with SolveService(solver=recorder, shards=4,
-                          backoff_seconds=0.5) as service:
+                          max_retries=5) as service:
             job = service.submit(tiny_system(), shards=2)
             service.result(job, timeout=10)
-        assert seen == {"shards": 2, "backoff_seconds": 0.5}
+        assert seen == {"shards": 2, "max_retries": 5}
 
     def test_unknown_job_id(self):
         with SolveService(solver=lambda system, **kw: None) as service:

@@ -16,12 +16,15 @@ from repro.errors import ConfigurationError, ShardFailedError
 from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
 from repro.polynomials import Monomial, Polynomial, PolynomialSystem
 from repro.service import (
+    BackoffPolicy,
     FaultInjection,
     FileCheckpointStore,
     InMemoryCheckpointStore,
     solve_system_sharded,
 )
 from repro.tracking import EscalationPolicy, TrackerOptions, solve_system
+
+_NO_BACKOFF = BackoffPolicy(base=0.0)
 
 
 def decoupled_quadratics(values=(2.0, 3.0)):
@@ -128,7 +131,7 @@ class TestCrashRecovery:
         with pytest.raises(ShardFailedError, match="retries"):
             solve_system_sharded(
                 decoupled_quadratics(), shards=2, max_retries=0,
-                backoff_seconds=0.0,
+                backoff=_NO_BACKOFF,
                 fault_injection=FaultInjection(shard=0, level=0,
                                                kill_after_rounds=0))
 
@@ -141,7 +144,7 @@ class TestCrashRecovery:
         store = InMemoryCheckpointStore()
         report = solve_system_sharded(
             cyclic_quadratic_system(4), shards=2, options=ESCALATION_OPTS,
-            escalation=ESCALATION_POLICY, store=store, backoff_seconds=0.0,
+            escalation=ESCALATION_POLICY, store=store, backoff=_NO_BACKOFF,
             fault_injection=FaultInjection(shard=0, level=1,
                                            kill_after_rounds=0))
         assert report.worker_retries >= 1
@@ -159,7 +162,7 @@ class TestCrashRecovery:
         report = solve_system_sharded(
             cyclic_quadratic_system(4), shards=2, options=ESCALATION_OPTS,
             escalation=ESCALATION_POLICY, store=store, job_id="drill",
-            cleanup=False, backoff_seconds=0.0,
+            cleanup=False, backoff=_NO_BACKOFF,
             fault_injection=FaultInjection(shard=0, level=1,
                                            kill_after_rounds=0))
         assert report.worker_retries >= 1
@@ -177,7 +180,7 @@ class TestCrashRecovery:
         """Two consecutive kills of the same shard-rung still recover."""
         report = solve_system_sharded(
             cyclic_quadratic_system(4), shards=2, options=ESCALATION_OPTS,
-            escalation=ESCALATION_POLICY, max_retries=3, backoff_seconds=0.0,
+            escalation=ESCALATION_POLICY, max_retries=3, backoff=_NO_BACKOFF,
             fault_injection=FaultInjection(shard=0, level=1,
                                            kill_after_rounds=0, times=2))
         assert report.worker_retries >= 2

@@ -95,7 +95,7 @@ class TestPoolDegradation:
                         respawn_backoff=_NO_BACKOFF,
                         max_spawn_attempts=2) as pool:
             report = solve_system_sharded(system, shards=2, pool=pool,
-                                          backoff_seconds=0.0)
+                                          backoff=_NO_BACKOFF)
             assert pool.all_retired()
             assert pool.stats["spawn_failures"] >= 4  # 2 slots x 2 attempts
         assert report.inprocess_fallbacks == 2
@@ -109,7 +109,7 @@ class TestPoolDegradation:
                         max_spawn_attempts=2) as pool:
             with pytest.raises(ShardFailedError, match="spawn"):
                 solve_system_sharded(decoupled_quadratics(), shards=2,
-                                     pool=pool, backoff_seconds=0.0,
+                                     pool=pool, backoff=_NO_BACKOFF,
                                      allow_inprocess_fallback=False)
 
 
@@ -122,7 +122,7 @@ class TestDeadlines:
         reference = solve_system(system)
         with WorkerPool(workers=2) as pool:
             report = solve_system_sharded(
-                system, shards=2, pool=pool, backoff_seconds=0.0,
+                system, shards=2, pool=pool, backoff=_NO_BACKOFF,
                 timeout=0.2, cancel_grace=5.0,
                 fault_injection=FaultInjection(
                     shard=0, level=0, kill_after_rounds=0, times=1,

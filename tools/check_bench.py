@@ -69,7 +69,6 @@ FLOORS = {
     "BENCH_eval_plan.json": {
         "op_counts.multiplication_saving_factor": 1.5,
         "qd_tracker_wall_speedup": 1.15,
-        "arena.qd_tracker_wall_speedup_vs_plans": 1.15,
     },
     "BENCH_qd_arith.json": {
         "wall_speedup_vs_baseline_at_batch_64": 1.15,
@@ -105,7 +104,7 @@ SCENARIO_REQUIRED_KEYS = {
     "BENCH_escalation.json": ("paths_total", "paths_converged",
                               "recovered_by_escalation"),
     "BENCH_eval_plan.json": ("multiplication_saving_factor",
-                             "plan_walk_identical", "arena_identical"),
+                             "plan_walk_identical"),
     "BENCH_shard.json": ("solutions", "sharded_solutions", "identical"),
     "BENCH_start.json": ("total_degree_paths", "total_degree_wall_s",
                          "diagonal_paths", "diagonal_wall_s", "solutions",
@@ -114,7 +113,7 @@ SCENARIO_REQUIRED_KEYS = {
 
 #: Identity verdicts: wherever a scenario entry records one of these keys
 #: it must be ``true`` -- the bit-for-bit contracts hold on every shape.
-SCENARIO_TRUE_KEYS = ("identical", "plan_walk_identical", "arena_identical")
+SCENARIO_TRUE_KEYS = ("identical", "plan_walk_identical")
 
 #: Per-scenario numeric floors.
 SCENARIO_FLOORS = {
