@@ -38,8 +38,9 @@ docs:
 bench-batch:
 	$(PY) benchmarks/bench_batch_tracking.py
 
-# Fused QD/DD arithmetic: per-op fused-vs-unfused speedups and end-to-end
-# qd tracker wall throughput vs the checked-in baseline.
+# Fused QD/DD arithmetic: per-op speedups of the fused kernels over the
+# repro.multiprec.reference chains, and end-to-end qd tracker wall
+# throughput vs the checked-in baseline.
 bench-qd:
 	$(PY) benchmarks/bench_qd_arith.py
 

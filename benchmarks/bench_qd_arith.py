@@ -2,11 +2,13 @@
 
 The fused kernels (see ``repro.multiprec.bufferpool`` and the kernel
 sections of ``repro.multiprec.qdarray`` / ``ddarray``) replay the exact
-floating-point sequences of the reference out-of-place chains with a fused
-NumPy call stream.  This benchmark reports
+floating-point sequences of the out-of-place chains in
+``repro.multiprec.reference`` with a fused NumPy call stream.  This
+benchmark reports
 
-* per-operation ns/element, fused vs unfused, across batch sizes (the two
-  paths are bit-for-bit identical, so the ratio is pure execution cost);
+* per-operation ns/element, fused vs unfused (the reference chain), across
+  batch sizes (the two are bit-for-bit identical, so the ratio is pure
+  execution cost);
 * end-to-end wall-clock qd ``BatchTracker`` throughput (paths/sec and
   lane-evaluations/sec) at narrow and wide batches, with the speedup over
   the checked-in ``BENCH_batch_tracking.json`` qd baseline.

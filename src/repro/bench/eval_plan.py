@@ -143,6 +143,14 @@ def op_count_report(dimension: int = 4) -> Dict[str, object]:
     return report
 
 
+def _with_plans(enabled: bool, op: Callable[[], object]) -> Callable[[], object]:
+    """``op`` run with the compiled plans switched on (or off)."""
+    def run():
+        with use_eval_plans(enabled):
+            return op()
+    return run
+
+
 def run_eval_plan_bench(batch_sizes: Sequence[int] = (16, 64),
                         contexts: Sequence[NumericContext] = DEFAULT_CONTEXTS,
                         dimension: int = 4,
@@ -162,7 +170,7 @@ def run_eval_plan_bench(batch_sizes: Sequence[int] = (16, 64),
             op = lambda: homotopy.evaluate_batch(points, t)  # noqa: E731
             inner = max(2, min(20, 2000 // batch))
             plan_seconds, walk_seconds = _best_interleaved(
-                op, use_eval_plans, repeats, inner)
+                _with_plans(True, op), _with_plans(False, op), repeats, inner)
             rows.append(EvalPlanRow(
                 context=context.name,
                 batch=batch,

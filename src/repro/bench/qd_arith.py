@@ -5,10 +5,10 @@ Two measurements back the fused-kernel work (see
 :mod:`repro.multiprec.qdarray` / :mod:`repro.multiprec.ddarray`):
 
 1. **Per-op micro-bench** (:func:`run_qd_arith_bench`): each hot operation
-   is timed fused and unfused (the reference out-of-place chains, toggled
-   via :func:`repro.multiprec.bufferpool.use_fused_kernels`) on the same
-   operands, reporting ns/element and the fused speedup.  Both paths are
-   bit-for-bit identical, so this isolates pure execution cost.
+   is timed as the product operator (fused) and as the out-of-place chain
+   of :mod:`repro.multiprec.reference` (unfused) on the same operands,
+   reporting ns/element and the fused speedup.  Both are bit-for-bit
+   identical, so this isolates pure execution cost.
 2. **End-to-end lane throughput** (:func:`run_qd_tracker_bench`): the
    :class:`~repro.tracking.batch_tracker.BatchTracker` tracks a qd batch of
    the cyclic quadratic benchmark system, reporting wall-clock paths/sec
@@ -17,7 +17,7 @@ Two measurements back the fused-kernel work (see
    ``BENCH_batch_tracking.json`` qd rows and the speedup over that
    checked-in baseline is reported directly.
 
-Timings take the best of several repetitions, and the fused and reference
+Timings take the best of several repetitions, and the product and reference
 repetitions alternate, so both arms see the same machine load; the speedup
 ratios are then stable enough for the regression assertion in
 ``tests/bench`` even on a shared host.
@@ -29,13 +29,14 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Callable, ContextManager, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..multiprec.bufferpool import DD_ADDSUB_FUSED_MIN_ELEMENTS, use_fused_kernels
-from ..multiprec.ddarray import DDArray
+from ..multiprec import reference
+from ..multiprec.bufferpool import DD_ADDSUB_FUSED_MIN_ELEMENTS
+from ..multiprec.ddarray import DDArray, _dd_addsub_fused
+from ..multiprec.eft import two_diff_into, two_sum_into
 from ..multiprec.numeric import QUAD_DOUBLE
 from ..multiprec.qdarray import ComplexQDArray, QDArray
 from ..tracking.batch_tracker import BatchTracker
@@ -131,27 +132,28 @@ def _best_seconds(op: Callable[[], object], repeats: int, inner: int) -> float:
     return best
 
 
-def _best_interleaved(op: Callable[[], object],
-                      arm: Callable[[bool], ContextManager[object]],
+def _best_interleaved(product: Callable[[], object],
+                      reference_op: Callable[[], object],
                       repeats: int, inner: int) -> Tuple[float, float]:
-    """Best-of-``repeats`` seconds per call under ``arm(True)`` and ``arm(False)``.
+    """Best-of-``repeats`` seconds per call of ``product`` and ``reference_op``.
 
     The two arms alternate repetition by repetition instead of running as
     two blocks, so a burst of load from elsewhere on the host slows both
     arms rather than only one, and does not skew their ratio.
     """
-    for on in (True, False):
-        with arm(on):
-            op()  # warm scratch stacks / compile outside the timed region
-    best = {True: float("inf"), False: float("inf")}
+    arms = (product, reference_op)
+    for op in arms:
+        op()  # warm scratch stacks / compile outside the timed region
+    best = [float("inf"), float("inf")]
     for _ in range(repeats):
-        for on in (True, False):
-            with arm(on):
-                best[on] = min(best[on], _best_seconds(op, 1, inner))
-    return best[True], best[False]
+        for i, op in enumerate(arms):
+            best[i] = min(best[i], _best_seconds(op, 1, inner))
+    return best[0], best[1]
 
 
-def _operations(batch: int) -> Dict[str, Callable[[], object]]:
+def _operations(batch: int) -> Dict[str, Tuple[Callable[[], object],
+                                               Callable[[], object]]]:
+    """Each op's (product, reference) arms on shared operands."""
     a = _rand_qd(batch, 1)
     b = _rand_qd(batch, 2)
     ca = ComplexQDArray(_rand_qd(batch, 3), _rand_qd(batch, 4))
@@ -159,26 +161,27 @@ def _operations(batch: int) -> Dict[str, Callable[[], object]]:
     da = _rand_dd(batch, 7)
     db = _rand_dd(batch, 8)
     return {
-        "qd_add": lambda: a + b,
-        "qd_mul": lambda: a * b,
-        "qd_div": lambda: a / b,
-        "cqd_mul": lambda: ca * cb,
-        "dd_mul": lambda: da * db,
+        "qd_add": (lambda: a + b, lambda: reference.qd_add(a, b)),
+        "qd_mul": (lambda: a * b, lambda: reference.qd_mul(a, b)),
+        "qd_div": (lambda: a / b, lambda: reference.qd_div(a, b)),
+        "cqd_mul": (lambda: ca * cb, lambda: reference.complex_qd_mul(ca, cb)),
+        "dd_mul": (lambda: da * db, lambda: reference.dd_mul(da, db)),
     }
 
 
 def run_qd_arith_bench(batch_sizes: Sequence[int] = (64, 256),
                        ops: Optional[Sequence[str]] = None,
                        repeats: int = 5) -> List[QDArithRow]:
-    """Time each hot operation fused and unfused; best-of-``repeats``, interleaved."""
+    """Time each hot operation against its reference chain; best-of-``repeats``,
+    interleaved."""
     rows: List[QDArithRow] = []
     for batch in batch_sizes:
         operations = _operations(int(batch))
-        for name, op in operations.items():
+        for name, (product, reference_op) in operations.items():
             if ops is not None and name not in ops:
                 continue
             inner = max(3, min(50, 20000 // int(batch)))
-            fused, unfused = _best_interleaved(op, use_fused_kernels,
+            fused, unfused = _best_interleaved(product, reference_op,
                                               repeats, inner)
             rows.append(QDArithRow(
                 op=name,
@@ -196,11 +199,12 @@ def run_dd_small_batch_bench(batch_sizes: Sequence[int] = (8, 64, 256, 1024, 409
     The dd addition chain has no Dekker splits to share, so its fused
     variant only repackages the same two_sum sequence behind scratch-plane
     bookkeeping -- a fixed cost that dominates tiny batches.  This sweep
-    *forces* each path (``use_fused_kernels`` bypasses the size gate) to
-    measure where the fused kernels actually start winning; the measured
-    rows and the production threshold
-    (:data:`repro.multiprec.bufferpool.DD_ADDSUB_FUSED_MIN_ELEMENTS`, which
-    routes smaller batches to the reference chains automatically) are
+    times the fused kernel itself (the operators' size gate would hand
+    small batches to the chain) against the :mod:`repro.multiprec.
+    reference` chain to measure where the fused kernel actually starts
+    winning; the measured rows and the production threshold
+    (:data:`repro.multiprec.bufferpool.DD_ADDSUB_FUSED_MIN_ELEMENTS`, below
+    which the operators run the plain chain) are
     recorded in the ``small_batch`` section of ``BENCH_qd_arith.json``.
     """
     rows: List[QDArithRow] = []
@@ -208,11 +212,14 @@ def run_dd_small_batch_bench(batch_sizes: Sequence[int] = (8, 64, 256, 1024, 409
         batch = int(batch)
         da = _rand_dd(batch, 21)
         db = _rand_dd(batch, 22)
-        for name, op in (("dd_add", lambda: da + db),
-                         ("dd_sub", lambda: da - db)):
+        x, y = (da.hi, da.lo), (db.hi, db.lo)
+        arms = (("dd_add", two_sum_into, reference.dd_add),
+                ("dd_sub", two_diff_into, reference.dd_sub))
+        for name, two_into, reference_op in arms:
             inner = max(3, min(200, 50000 // batch))
-            fused, unfused = _best_interleaved(op, use_fused_kernels,
-                                              repeats, inner)
+            fused, unfused = _best_interleaved(
+                lambda: _dd_addsub_fused(x, y, two_into),
+                lambda: reference_op(da, db), repeats, inner)
             rows.append(QDArithRow(
                 op=name,
                 batch=batch,

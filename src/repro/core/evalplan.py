@@ -65,10 +65,9 @@ a plan-owned :class:`~repro.multiprec.bufferpool.PlanArena` slot, sized
 once per lane count, so a steady-state execution allocates almost nothing
 and the rows it returns stay valid until the plan's next execution.
 
-The module-wide toggle (:func:`use_eval_plans`, default on) mirrors the
-fused-kernel switch of :mod:`repro.multiprec.bufferpool`: the walk path is
-kept as the differential oracle of that one path, and flipping the toggle
-only trades execution schedule, never results.
+The module-wide toggle (:func:`use_eval_plans`, default on) keeps the
+walk path as the differential oracle of that one path; flipping the
+toggle only trades execution schedule, never results.
 """
 
 from __future__ import annotations
@@ -99,13 +98,12 @@ __all__ = [
     "pow_chain_multiplications",
     "require_lane_batch",
     "use_eval_plans",
-    "use_homotopy_compile_cache",
     "walk_op_counts",
 ]
 
 
 # ----------------------------------------------------------------------
-# the toggle (mirrors bufferpool.use_fused_kernels)
+# the plan/walk toggle
 # ----------------------------------------------------------------------
 _PLANS_ENABLED = True
 
@@ -140,7 +138,6 @@ def use_eval_plans(enabled: bool):
 #: distinct systems must not pin compile artifacts forever.
 _COMPILE_CACHE_LIMIT = 32
 
-_COMPILE_CACHE_ENABLED = True
 _COMPILE_CACHE: "OrderedDict[tuple, dict]" = OrderedDict()
 _COMPILE_CACHE_LOCK = threading.Lock()
 _COMPILE_CACHE_STATS = {"hits": 0, "misses": 0}
@@ -173,28 +170,6 @@ def clear_homotopy_compile_cache() -> None:
         _COMPILE_CACHE.clear()
         _COMPILE_CACHE_STATS["hits"] = 0
         _COMPILE_CACHE_STATS["misses"] = 0
-
-
-@contextmanager
-def use_homotopy_compile_cache(enabled: bool):
-    """Temporarily force (or suppress) compile-artifact reuse.
-
-    With the cache on (the default), two :class:`HomotopyPlan` instances
-    over the same ``(start, target)`` coefficient structure share their
-    compiled schedules, plane specs and op counts -- only the per-instance
-    execution state (arena buffers, counters) is rebuilt, so instances
-    stay safe to drive from different threads.  The artifacts are
-    deterministic functions of the key, so the toggle trades compile time
-    only, never results; it exists for the family-serving benchmark's
-    cold/warm comparison.
-    """
-    global _COMPILE_CACHE_ENABLED
-    previous = _COMPILE_CACHE_ENABLED
-    _COMPILE_CACHE_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _COMPILE_CACHE_ENABLED = previous
 
 
 def require_lane_batch(points, dimension: int) -> None:
@@ -908,7 +883,7 @@ class HomotopyPlan(_PlanExecutor):
     @staticmethod
     def _compile_artifacts(start_system: PolynomialSystem,
                            target_system: PolynomialSystem) -> Dict[str, object]:
-        """Compile the pair, reusing the family-keyed cache when enabled.
+        """Compile the pair, reusing the family-keyed cache.
 
         The artifacts -- schedules, plane specs, Jacobian union, op counts
         -- are deterministic in the two systems' coefficient structure and
@@ -920,14 +895,13 @@ class HomotopyPlan(_PlanExecutor):
         """
         key = (_system_signature(start_system),
                _system_signature(target_system))
-        if _COMPILE_CACHE_ENABLED:
-            with _COMPILE_CACHE_LOCK:
-                cached = _COMPILE_CACHE.get(key)
-                if cached is not None:
-                    _COMPILE_CACHE.move_to_end(key)
-                    _COMPILE_CACHE_STATS["hits"] += 1
-                    return cached
-                _COMPILE_CACHE_STATS["misses"] += 1
+        with _COMPILE_CACHE_LOCK:
+            cached = _COMPILE_CACHE.get(key)
+            if cached is not None:
+                _COMPILE_CACHE.move_to_end(key)
+                _COMPILE_CACHE_STATS["hits"] += 1
+                return cached
+            _COMPILE_CACHE_STATS["misses"] += 1
 
         compiler = _Compiler()
         g_schedules = compiler.compile_system(start_system)
@@ -960,12 +934,11 @@ class HomotopyPlan(_PlanExecutor):
             "walk_counts": homotopy_walk_op_counts(start_system,
                                                    target_system),
         }
-        if _COMPILE_CACHE_ENABLED:
-            with _COMPILE_CACHE_LOCK:
-                _COMPILE_CACHE[key] = compiled
-                _COMPILE_CACHE.move_to_end(key)
-                while len(_COMPILE_CACHE) > _COMPILE_CACHE_LIMIT:
-                    _COMPILE_CACHE.popitem(last=False)
+        with _COMPILE_CACHE_LOCK:
+            _COMPILE_CACHE[key] = compiled
+            _COMPILE_CACHE.move_to_end(key)
+            while len(_COMPILE_CACHE) > _COMPILE_CACHE_LIMIT:
+                _COMPILE_CACHE.popitem(last=False)
         return compiled
 
     def execute(self, points, t: np.ndarray) -> Tuple[List, List[List], List]:

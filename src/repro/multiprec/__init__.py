@@ -19,10 +19,13 @@ provides:
   batched path tracker;
 * :class:`~repro.multiprec.numeric.NumericContext` -- the arithmetic
   abstraction that makes the kernels generic over precision and feeds the
-  cost model the relative multiplication cost (the paper's "factor of 8").
+  cost model the relative multiplication cost (the paper's "factor of 8");
+* :mod:`~repro.multiprec.reference` -- the plain out-of-place operation
+  chains the fused array kernels replay bit-for-bit (for tests and
+  benchmarks only; it is not imported here).
 """
 
-from .bufferpool import plane_stack, use_fused_kernels
+from .bufferpool import plane_stack
 from .complex_dd import ComplexDD, cdd
 from .ddarray import ComplexDDArray, DDArray
 from .double_double import DoubleDouble, dd
@@ -59,7 +62,6 @@ __all__ = [
     "plane_stack",
     "qd",
     "quick_two_sum",
-    "use_fused_kernels",
     "split",
     "two_diff",
     "two_prod",

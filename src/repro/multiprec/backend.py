@@ -36,7 +36,7 @@ from .ddarray import (
     ComplexDDArray,
     DDArray,
     complex_dd_from_planes,
-    complex_dd_mul_into,
+    complex_dd_mul,
     dd_mul_operand,
 )
 from .double_double import DoubleDouble
@@ -45,7 +45,7 @@ from .qdarray import (
     ComplexQDArray,
     QDArray,
     complex_qd_from_planes,
-    complex_qd_mul_into,
+    complex_qd_mul,
     qd_mul_operand,
 )
 from .quad_double import QuadDouble
@@ -386,7 +386,7 @@ class ComplexDDBackend(ComplexBatchBackend):
         fb, mark = st.take(shape, 4)
         try:
             prod = complex_dd_from_planes(fb)
-            complex_dd_mul_into(prod, x, y)
+            complex_dd_mul(x, y, out=prod)
             return acc.isub_(prod)
         finally:
             st.release(mark)
@@ -403,7 +403,7 @@ class ComplexDDBackend(ComplexBatchBackend):
         fb, mark = st.take(shape, 4)
         try:
             prod = complex_dd_from_planes(fb)
-            complex_dd_mul_into(prod, x, y)
+            complex_dd_mul(x, y, out=prod)
             return acc.iadd_(prod)
         finally:
             st.release(mark)
@@ -413,8 +413,8 @@ class ComplexDDBackend(ComplexBatchBackend):
 
     def mul_into(self, out: ComplexDDArray, a, b) -> ComplexDDArray:
         if isinstance(a, ComplexDDArray):
-            return complex_dd_mul_into(out, a, dd_mul_operand(a, b))
-        return complex_dd_mul_into(out, b, dd_mul_operand(b, a))
+            return complex_dd_mul(a, dd_mul_operand(a, b), out=out)
+        return complex_dd_mul(b, dd_mul_operand(b, a), out=out)
 
     def copy_into(self, out: ComplexDDArray, src: ComplexDDArray
                   ) -> ComplexDDArray:
@@ -535,7 +535,7 @@ class ComplexQDBackend(ComplexBatchBackend):
         fb, mark = st.take(shape, 8)
         try:
             prod = complex_qd_from_planes(fb)
-            complex_qd_mul_into(prod, x, y)
+            complex_qd_mul(x, y, out=prod)
             return acc.isub_(prod)
         finally:
             st.release(mark)
@@ -552,7 +552,7 @@ class ComplexQDBackend(ComplexBatchBackend):
         fb, mark = st.take(shape, 8)
         try:
             prod = complex_qd_from_planes(fb)
-            complex_qd_mul_into(prod, x, y)
+            complex_qd_mul(x, y, out=prod)
             return acc.iadd_(prod)
         finally:
             st.release(mark)
@@ -562,8 +562,8 @@ class ComplexQDBackend(ComplexBatchBackend):
 
     def mul_into(self, out: ComplexQDArray, a, b) -> ComplexQDArray:
         if isinstance(a, ComplexQDArray):
-            return complex_qd_mul_into(out, a, qd_mul_operand(a, b))
-        return complex_qd_mul_into(out, b, qd_mul_operand(b, a))
+            return complex_qd_mul(a, qd_mul_operand(a, b), out=out)
+        return complex_qd_mul(b, qd_mul_operand(b, a), out=out)
 
     def copy_into(self, out: ComplexQDArray, src: ComplexQDArray
                   ) -> ComplexQDArray:

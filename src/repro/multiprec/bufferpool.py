@@ -25,16 +25,14 @@ operands -- e.g. the zero components a division broadcasts a quotient plane
 against -- so the hot path never materialises a fresh ``np.zeros`` just to
 read it.
 
-A module-wide switch (:func:`use_fused_kernels`) lets tests and benchmarks
-drop back to the original out-of-place operation chains; both paths execute
-bit-for-bit identical floating-point sequences, so the switch only trades
-speed, never results.
+Each kernel replays bit-for-bit the floating-point sequence of the plain
+out-of-place chains kept in :mod:`repro.multiprec.reference`, which the
+differential tests and the fused-vs-reference benchmark compare against.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import Dict, Tuple
 
 import numpy as np
@@ -45,15 +43,12 @@ __all__ = [
     "DD_ADDSUB_FUSED_MIN_ELEMENTS",
     "PlanArena",
     "PlaneStack",
-    "dd_addsub_fused_threshold",
-    "fused_addsub_enabled",
-    "fused_kernels_enabled",
+    "land_planes",
     "needs_reference_split",
     "one_plane",
     "op_shape",
     "plane_stack",
     "result_planes",
-    "use_fused_kernels",
     "zero_plane",
 ]
 
@@ -265,14 +260,25 @@ def result_planes(shape, out, count: int):
     return tuple(np.empty(shape) for _ in range(count))
 
 
+def land_planes(planes, out):
+    """``planes`` when ``out`` is None, else ``out`` with ``planes`` copied in."""
+    if out is None:
+        return planes
+    for dst, src in zip(out, planes):
+        np.copyto(dst, src)
+    return out
+
+
 def needs_reference_split(plane, t, mb) -> bool:
-    """Whether any element forces the reference (scaling) Dekker split.
+    """Whether any element forces the scaling Dekker split.
 
     True when the plane holds a magnitude above the split threshold or a
     NaN.  For canonical expansions the trailing components are bounded by
     the leading one, so the fused product kernels only need to test the
     leading plane of each operand; a non-finite leading component routes
-    the whole op through the reference path, which handles every case.
+    the whole op through the product's scaling-split chain
+    (``_dd_mul_planes_ref`` / ``_mul_planes_ref``), which handles every
+    case.
     ``t`` (float64) and ``mb`` (bool) are caller scratch.
     """
     np.abs(plane, out=t)
@@ -283,73 +289,13 @@ def needs_reference_split(plane, t, mb) -> bool:
     return bool(mb.any())
 
 
-_FUSED_ENABLED = True
-_FUSED_FORCED = False
-
-#: Below this many elements the dd add/sub fused kernels *lose* to the
-#: reference chains: a double-double addition has no Dekker splits to share,
-#: so the fused variant only repackages the same two_sum chain behind extra
-#: scratch-plane bookkeeping whose fixed cost dominates tiny batches.
+#: Below this many elements the dd add/sub fused kernels *lose* to the plain
+#: two_sum chain, so :mod:`repro.multiprec.ddarray` runs the chain there: a
+#: double-double addition has no Dekker splits to share, so the fused variant
+#: only repackages the same chain behind extra scratch-plane bookkeeping
+#: whose fixed cost dominates tiny batches.
 #: Measured on the benchmark host (see the ``small_batch`` section of
 #: ``BENCH_qd_arith.json``): the fused path crosses over around 1k elements
 #: and wins ~2x by 16k.  Product/division kernels keep their fusion at every
 #: size -- they share splits and renorm masks, which pays even at batch 1.
 DD_ADDSUB_FUSED_MIN_ELEMENTS = 1024
-
-_ADDSUB_THRESHOLD = DD_ADDSUB_FUSED_MIN_ELEMENTS
-
-
-def fused_kernels_enabled() -> bool:
-    """Whether the array classes dispatch to the fused kernels."""
-    return _FUSED_ENABLED
-
-
-def fused_addsub_enabled(elements: int) -> bool:
-    """Fused-kernel gate for the dd add/sub family, size-aware.
-
-    Tiny batches take the reference chains automatically (bit-for-bit
-    identical, just cheaper below :data:`DD_ADDSUB_FUSED_MIN_ELEMENTS`);
-    an explicit :func:`use_fused_kernels` scope overrides the threshold so
-    differential tests and the fused-vs-unfused benchmark still pin the
-    exact path they ask for.
-    """
-    if not _FUSED_ENABLED:
-        return False
-    return _FUSED_FORCED or elements >= _ADDSUB_THRESHOLD
-
-
-@contextmanager
-def use_fused_kernels(enabled: bool):
-    """Temporarily force the fused (or reference) arithmetic path.
-
-    The reference path replays the original out-of-place operation chains;
-    the two are bit-for-bit identical, so this switch exists for the
-    differential tests and the fused-vs-unfused benchmark, not for results.
-    Forcing ``True`` also bypasses the small-batch add/sub threshold
-    (:func:`fused_addsub_enabled`), so the fused kernels run at any size.
-    """
-    global _FUSED_ENABLED, _FUSED_FORCED
-    previous = (_FUSED_ENABLED, _FUSED_FORCED)
-    _FUSED_ENABLED = bool(enabled)
-    _FUSED_FORCED = True
-    try:
-        yield
-    finally:
-        _FUSED_ENABLED, _FUSED_FORCED = previous
-
-
-@contextmanager
-def dd_addsub_fused_threshold(elements: int):
-    """Temporarily override the dd add/sub small-batch threshold.
-
-    For tests pinning the gate's behaviour and for operators re-tuning the
-    cutoff on different hardware (the crossover *measurement* itself forces
-    each path via :func:`use_fused_kernels` instead -- see
-    ``repro.bench.qd_arith.run_dd_small_batch_bench``)."""
-    global _ADDSUB_THRESHOLD
-    previous = _ADDSUB_THRESHOLD
-    _ADDSUB_THRESHOLD = int(elements)
-    try:
-        yield
-    finally:
-        _ADDSUB_THRESHOLD = previous

@@ -22,8 +22,8 @@ import numpy as np
 
 from ..errors import DivisionByZeroError
 from .bufferpool import (
-    fused_addsub_enabled,
-    fused_kernels_enabled,
+    DD_ADDSUB_FUSED_MIN_ELEMENTS,
+    land_planes,
     needs_reference_split,
     op_shape,
     plane_stack,
@@ -33,7 +33,6 @@ from .bufferpool import (
 from .complex_dd import ComplexDD
 from .double_double import DoubleDouble
 from .eft import (
-    SPLIT_THRESHOLD,
     quick_two_sum,
     quick_two_sum_into,
     split_into,
@@ -48,22 +47,38 @@ __all__ = ["DDArray", "ComplexDDArray"]
 
 
 # ----------------------------------------------------------------------
-# fused, allocation-light kernels (bit-for-bit with the reference path)
+# the op bodies: fused, allocation-light kernels
 # ----------------------------------------------------------------------
 # Same design as the quad-double kernels in repro.multiprec.qdarray: the
-# exact floating-point sequences of the operators below, with scratch
+# exact floating-point sequences of repro.multiprec.reference, with scratch
 # planes drawn from the thread's PlaneStack, ``out=`` threaded through
 # every ufunc, and one Dekker split per input plane.  ``out`` may alias
-# the input planes -- the final quick_two_sum runs after every read.
+# the input planes -- the final quick_two_sum runs after every read.  Each
+# op has one body taking an optional ``out=``: the operators, the in-place
+# updates and the plan-arena helpers (complex_dd_mul) all call it.
 
-def _dd_add_planes_fused(x, y, out=None):
+def _dd_addsub_chain(x, y, two):
+    """The plain dd add (``two=two_sum``) or sub (``two=two_diff``) chain.
+
+    The fused kernel replays it; below :data:`~repro.multiprec.bufferpool.
+    DD_ADDSUB_FUSED_MIN_ELEMENTS` elements the chain itself is cheaper.
+    """
+    s1, s2 = two(x[0], y[0])
+    t1, t2 = two(x[1], y[1])
+    s2 = s2 + t1
+    s1, s2 = quick_two_sum(s1, s2)
+    s2 = s2 + t2
+    return quick_two_sum(s1, s2)
+
+
+def _dd_addsub_fused(x, y, two_into, out=None):
     st = plane_stack()
     shape = op_shape(x, y)
     fb, mark = st.take(shape, 7)
     try:
         t, s1, s2, t1, t2, u, v = fb
-        two_sum_into(x[0], y[0], s1, s2, t)
-        two_sum_into(x[1], y[1], t1, t2, t)
+        two_into(x[0], y[0], s1, s2, t)
+        two_into(x[1], y[1], t1, t2, t)
         np.add(s2, t1, out=s2)
         quick_two_sum_into(s1, s2, u, v)
         np.add(v, t2, out=v)
@@ -74,22 +89,20 @@ def _dd_add_planes_fused(x, y, out=None):
         st.release(mark)
 
 
-def _dd_sub_planes_fused(x, y, out=None):
-    st = plane_stack()
-    shape = op_shape(x, y)
-    fb, mark = st.take(shape, 7)
-    try:
-        t, s1, s2, t1, t2, u, v = fb
-        two_diff_into(x[0], y[0], s1, s2, t)
-        two_diff_into(x[1], y[1], t1, t2, t)
-        np.add(s2, t1, out=s2)
-        quick_two_sum_into(s1, s2, u, v)
-        np.add(v, t2, out=v)
-        hi, lo = out = result_planes(shape, out, 2)
-        quick_two_sum_into(u, v, hi, lo)
-        return out
-    finally:
-        st.release(mark)
+def _dd_add(x, y, out=None):
+    """``x + y`` on (hi, lo) plane pairs: the fused kernel from
+    ``DD_ADDSUB_FUSED_MIN_ELEMENTS`` elements up, the plain chain below."""
+    # Gate on the larger operand: a broadcast result is at least that big.
+    if max(x[0].size, y[0].size) >= DD_ADDSUB_FUSED_MIN_ELEMENTS:
+        return _dd_addsub_fused(x, y, two_sum_into, out)
+    return land_planes(_dd_addsub_chain(x, y, two_sum), out)
+
+
+def _dd_sub(x, y, out=None):
+    """``x - y`` on (hi, lo) plane pairs, size-gated like :func:`_dd_add`."""
+    if max(x[0].size, y[0].size) >= DD_ADDSUB_FUSED_MIN_ELEMENTS:
+        return _dd_addsub_fused(x, y, two_diff_into, out)
+    return land_planes(_dd_addsub_chain(x, y, two_diff), out)
 
 
 def _dd_mul_planes_ref(x, y):
@@ -109,12 +122,7 @@ def _dd_mul_planes_fused(x, y, out=None):
         mb = bb[0]
         if (needs_reference_split(x[0], t, mb)
                 or needs_reference_split(y[0], t, mb)):
-            planes = _dd_mul_planes_ref(x, y)
-            if out is None:
-                return planes
-            np.copyto(out[0], planes[0])
-            np.copyto(out[1], planes[1])
-            return out
+            return land_planes(_dd_mul_planes_ref(x, y), out)
 
         p1, p2, ah, al, bh, bl, v = fb[1:8]
         np.multiply(x[0], y[0], out=p1)
@@ -155,62 +163,15 @@ def _dd_div_planes_fused(x, y, out=None):
 
         np.divide(x[0], y[0], out=q1)
         _dd_mul_planes_fused(y, (q1, zp), out=prod)
-        _dd_sub_planes_fused(x, prod, out=ra)
+        _dd_addsub_fused(x, prod, two_diff_into, out=ra)
         np.divide(ra[0], y[0], out=q2)
         _dd_mul_planes_fused(y, (q2, zp), out=prod)
-        _dd_sub_planes_fused(ra, prod, out=rb)
+        _dd_addsub_fused(ra, prod, two_diff_into, out=rb)
         np.divide(rb[0], y[0], out=q3)
         quick_two_sum_into(q1, q2, s, e)
-        return _dd_add_planes_fused((s, e), (q3, zp), out=out)
+        return _dd_addsub_fused((s, e), (q3, zp), two_sum_into, out=out)
     finally:
         st.release(mark)
-
-
-# ----------------------------------------------------------------------
-# into-variants: the operator dispatch (gates included), landed in caller
-# planes.  These exist for the plan-arena executor of
-# :mod:`repro.core.evalplan`: results go into persistent arena planes
-# instead of fresh allocations, with the exact same floating-point
-# sequences the ``+ - *`` operators would execute.
-# ----------------------------------------------------------------------
-def _dd_add_into(x, y, out) -> None:
-    """``out := x + y`` on (hi, lo) plane pairs, replaying ``__add__``."""
-    if fused_addsub_enabled(max(x[0].size, y[0].size)):
-        _dd_add_planes_fused(x, y, out=out)
-        return
-    s1, s2 = two_sum(x[0], y[0])
-    t1, t2 = two_sum(x[1], y[1])
-    s2 = s2 + t1
-    s1, s2 = quick_two_sum(s1, s2)
-    s2 = s2 + t2
-    s1, s2 = quick_two_sum(s1, s2)
-    np.copyto(out[0], s1)
-    np.copyto(out[1], s2)
-
-
-def _dd_sub_into(x, y, out) -> None:
-    """``out := x - y`` on (hi, lo) plane pairs, replaying ``__sub__``."""
-    if fused_addsub_enabled(max(x[0].size, y[0].size)):
-        _dd_sub_planes_fused(x, y, out=out)
-        return
-    s1, s2 = two_diff(x[0], y[0])
-    t1, t2 = two_diff(x[1], y[1])
-    s2 = s2 + t1
-    s1, s2 = quick_two_sum(s1, s2)
-    s2 = s2 + t2
-    s1, s2 = quick_two_sum(s1, s2)
-    np.copyto(out[0], s1)
-    np.copyto(out[1], s2)
-
-
-def _dd_mul_into(x, y, out) -> None:
-    """``out := x * y`` on (hi, lo) plane pairs, replaying ``__mul__``."""
-    if fused_kernels_enabled():
-        _dd_mul_planes_fused(x, y, out=out)
-        return
-    p1, p2 = _dd_mul_planes_ref(x, y)
-    np.copyto(out[0], p1)
-    np.copyto(out[1], p2)
 
 
 def complex_dd_raw(real: "DDArray", imag: "DDArray") -> "ComplexDDArray":
@@ -250,50 +211,60 @@ def dd_mul_operand(x: "ComplexDDArray", other) -> "ComplexDDArray":
     return x._coerce(other)
 
 
-def _complex_dd_div_fused(a: "DDArray", b: "DDArray", c: "DDArray",
-                          d: "DDArray") -> "ComplexDDArray":
-    """``(a + ib) / (c + id)`` with every intermediate in pooled scratch.
+def _complex_dd_div(x: "ComplexDDArray", y: "ComplexDDArray") -> "ComplexDDArray":
+    """``x / y`` with every intermediate in pooled scratch.
 
     Replays the allocating expression ``((a*c + b*d) / denom,
-    (b*c - a*d) / denom)`` kernel for kernel -- same products, same
-    additions, same iterated-correction divisions, so the landed bits are
-    identical -- without materialising the six intermediate ``DDArray``
-    wrappers and their planes.
+    (b*c - a*d) / denom)`` of :func:`repro.multiprec.reference.
+    complex_dd_div` kernel for kernel -- same products, same additions,
+    same iterated-correction divisions, so the landed bits are identical --
+    without materialising the intermediate ``DDArray`` wrappers and their
+    planes.  Operands of different shapes are broadcast up front, so the
+    kernels all run on the result shape.
     """
+    parts = [(p.hi, p.lo) for p in (x.real, x.imag, y.real, y.imag)]
+    shape = op_shape(parts[0], parts[2])
+    if x.shape != y.shape:
+        parts = [tuple(np.broadcast_to(c, shape) for c in p) for p in parts]
+    a, b, c, d = parts
     st = plane_stack()
-    shape = a.hi.shape
     fb, mark = st.take(shape, 8)
     try:
         t1, t2 = fb[0:2], fb[2:4]
         denom, num = fb[4:6], fb[6:8]
-        _dd_mul_planes_fused((c.hi, c.lo), (c.hi, c.lo), out=t1)
-        _dd_mul_planes_fused((d.hi, d.lo), (d.hi, d.lo), out=t2)
-        _dd_add_planes_fused(t1, t2, out=denom)
+        _dd_mul_planes_fused(c, c, out=t1)
+        _dd_mul_planes_fused(d, d, out=t2)
+        _dd_addsub_fused(t1, t2, two_sum_into, out=denom)
         # Mirror the scalar ComplexDD check: |z|^2 == 0 means the divisor
-        # is an exact zero (or underflowed to one).
+        # is an exact zero (or underflowed to one), which would otherwise
+        # fill the lane with silent NaN.  NaN divisors propagate instead of
+        # raising, exactly as in the element-wise real case.
         if np.any(denom[0] == 0.0):
             raise DivisionByZeroError(
                 f"ComplexDDArray division by zero in "
                 f"{int(np.count_nonzero(denom[0] == 0.0))} element(s)"
             )
-        _dd_mul_planes_fused((a.hi, a.lo), (c.hi, c.lo), out=t1)
-        _dd_mul_planes_fused((b.hi, b.lo), (d.hi, d.lo), out=t2)
-        _dd_add_planes_fused(t1, t2, out=num)
+        _dd_mul_planes_fused(a, c, out=t1)
+        _dd_mul_planes_fused(b, d, out=t2)
+        _dd_addsub_fused(t1, t2, two_sum_into, out=num)
         real = _raw(*_dd_div_planes_fused(num, denom))
-        _dd_mul_planes_fused((b.hi, b.lo), (c.hi, c.lo), out=t1)
-        _dd_mul_planes_fused((a.hi, a.lo), (d.hi, d.lo), out=t2)
-        _dd_sub_planes_fused(t1, t2, out=num)
+        _dd_mul_planes_fused(b, c, out=t1)
+        _dd_mul_planes_fused(a, d, out=t2)
+        _dd_addsub_fused(t1, t2, two_diff_into, out=num)
         imag = _raw(*_dd_div_planes_fused(num, denom))
         return ComplexDDArray(real, imag)
     finally:
         st.release(mark)
 
 
-def complex_dd_mul_into(out: "ComplexDDArray", x: "ComplexDDArray",
-                        y: "ComplexDDArray") -> "ComplexDDArray":
-    """``out := x * y``, bit-for-bit with ``ComplexDDArray.__mul__``.
+def complex_dd_mul(x: "ComplexDDArray", y: "ComplexDDArray",
+                   out: "ComplexDDArray" = None) -> "ComplexDDArray":
+    """``x * y``, landed in ``out`` when given (else in fresh planes).
 
-    All four real products land in scratch *before* the first write to
+    The one body of ``ComplexDDArray.__mul__`` and of the backend's
+    in-place product forms; bit-for-bit with the composition
+    ``(a*c - b*d, a*d + b*c)`` in :mod:`repro.multiprec.reference`.  All
+    four real products land in scratch *before* the first write to
     ``out``'s planes, so ``out`` may alias either operand.
     """
     a = (x.real.hi, x.real.lo)
@@ -302,18 +273,20 @@ def complex_dd_mul_into(out: "ComplexDDArray", x: "ComplexDDArray",
     d = (y.imag.hi, y.imag.lo)
     st = plane_stack()
     shape = op_shape(a, c)
+    if out is None:
+        out = complex_dd_from_planes(result_planes(shape, None, 4))
     fb, mark = st.take(shape, 8)
     try:
         ac = fb[0:2]
         bd = fb[2:4]
         ad = fb[4:6]
         bc = fb[6:8]
-        _dd_mul_into(a, c, ac)
-        _dd_mul_into(b, d, bd)
-        _dd_mul_into(a, d, ad)
-        _dd_mul_into(b, c, bc)
-        _dd_sub_into(ac, bd, (out.real.hi, out.real.lo))
-        _dd_add_into(ad, bc, (out.imag.hi, out.imag.lo))
+        _dd_mul_planes_fused(a, c, out=ac)
+        _dd_mul_planes_fused(b, d, out=bd)
+        _dd_mul_planes_fused(a, d, out=ad)
+        _dd_mul_planes_fused(b, c, out=bc)
+        _dd_sub(ac, bd, out=(out.real.hi, out.real.lo))
+        _dd_add(ad, bc, out=(out.imag.hi, out.imag.lo))
         return out
     finally:
         st.release(mark)
@@ -432,30 +405,13 @@ class DDArray:
 
     def __add__(self, other) -> "DDArray":
         o = _coerce(other, like=self.hi)
-        # Gate on the larger operand: a broadcast result is at least that big.
-        if fused_addsub_enabled(max(self.hi.size, o.hi.size)):
-            return _raw(*_dd_add_planes_fused((self.hi, self.lo), (o.hi, o.lo)))
-        s1, s2 = two_sum(self.hi, o.hi)
-        t1, t2 = two_sum(self.lo, o.lo)
-        s2 = s2 + t1
-        s1, s2 = quick_two_sum(s1, s2)
-        s2 = s2 + t2
-        s1, s2 = quick_two_sum(s1, s2)
-        return _raw(s1, s2)
+        return _raw(*_dd_add((self.hi, self.lo), (o.hi, o.lo)))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "DDArray":
         o = _coerce(other, like=self.hi)
-        if fused_addsub_enabled(max(self.hi.size, o.hi.size)):
-            return _raw(*_dd_sub_planes_fused((self.hi, self.lo), (o.hi, o.lo)))
-        s1, s2 = two_diff(self.hi, o.hi)
-        t1, t2 = two_diff(self.lo, o.lo)
-        s2 = s2 + t1
-        s1, s2 = quick_two_sum(s1, s2)
-        s2 = s2 + t2
-        s1, s2 = quick_two_sum(s1, s2)
-        return _raw(s1, s2)
+        return _raw(*_dd_sub((self.hi, self.lo), (o.hi, o.lo)))
 
     def __rsub__(self, other) -> "DDArray":
         o = _coerce(other, like=self.hi)
@@ -463,9 +419,7 @@ class DDArray:
 
     def __mul__(self, other) -> "DDArray":
         o = _coerce(other, like=self.hi)
-        if fused_kernels_enabled():
-            return _raw(*_dd_mul_planes_fused((self.hi, self.lo), (o.hi, o.lo)))
-        return _raw(*_dd_mul_planes_ref((self.hi, self.lo), (o.hi, o.lo)))
+        return _raw(*_dd_mul_planes_fused((self.hi, self.lo), (o.hi, o.lo)))
 
     __rmul__ = __mul__
 
@@ -480,15 +434,7 @@ class DDArray:
                 f"DDArray division by zero in "
                 f"{int(np.count_nonzero(o.hi == 0.0))} element(s)"
             )
-        if fused_kernels_enabled():
-            return _raw(*_dd_div_planes_fused((self.hi, self.lo), (o.hi, o.lo)))
-        q1 = self.hi / o.hi
-        r = self - o * _raw(q1, np.zeros_like(q1))
-        q2 = r.hi / o.hi
-        r = r - o * _raw(q2, np.zeros_like(q2))
-        q3 = r.hi / o.hi
-        s, e = quick_two_sum(q1, q2)
-        return _raw(s, e) + _raw(q3, np.zeros_like(q3))
+        return _raw(*_dd_div_planes_fused((self.hi, self.lo), (o.hi, o.lo)))
 
     def __rtruediv__(self, other) -> "DDArray":
         o = _coerce(other, like=self.hi)
@@ -508,48 +454,34 @@ class DDArray:
         return result
 
     # ------------------------------------------------------------------
-    # in-place updates (see QDArray: bit-for-bit with the operators, with
-    # the fused path writing this array's planes directly)
+    # in-place updates (see QDArray: bit-for-bit with the operators, the
+    # op body writing this array's planes directly)
     # ------------------------------------------------------------------
-    def _assign_planes(self, planes, mask=None) -> "DDArray":
-        np.copyto(self.hi, planes[0], where=True if mask is None else mask)
-        np.copyto(self.lo, planes[1], where=True if mask is None else mask)
-        return self
-
     def iadd_(self, other) -> "DDArray":
         """In-place ``self += other`` (bit-for-bit with ``self + other``)."""
         o = _coerce(other, like=self.hi)
-        if fused_addsub_enabled(self.hi.size):
-            _dd_add_planes_fused((self.hi, self.lo), (o.hi, o.lo),
-                                 out=(self.hi, self.lo))
-            return self
-        result = self + o
-        return self._assign_planes((result.hi, result.lo))
+        _dd_add((self.hi, self.lo), (o.hi, o.lo), out=(self.hi, self.lo))
+        return self
 
     def isub_(self, other) -> "DDArray":
         """In-place ``self -= other`` (bit-for-bit with ``self - other``)."""
         o = _coerce(other, like=self.hi)
-        if fused_addsub_enabled(self.hi.size):
-            _dd_sub_planes_fused((self.hi, self.lo), (o.hi, o.lo),
-                                 out=(self.hi, self.lo))
-            return self
-        result = self - o
-        return self._assign_planes((result.hi, result.lo))
+        _dd_sub((self.hi, self.lo), (o.hi, o.lo), out=(self.hi, self.lo))
+        return self
 
     def iadd_where_(self, other, mask) -> "DDArray":
         """Masked in-place add: ``self = where(mask, self + other, self)``."""
         o = _coerce(other, like=self.hi)
         mask = np.asarray(mask, dtype=bool)
-        if fused_addsub_enabled(self.hi.size):
-            st = plane_stack()
-            buf, mark = st.take(self.hi.shape, 2)
-            _dd_add_planes_fused((self.hi, self.lo), (o.hi, o.lo),
-                                 out=(buf[0], buf[1]))
-            self._assign_planes(buf, mask=mask)
-            st.release(mark)
+        st = plane_stack()
+        buf, mark = st.take(self.hi.shape, 2)
+        try:
+            _dd_add((self.hi, self.lo), (o.hi, o.lo), out=buf)
+            np.copyto(self.hi, buf[0], where=mask)
+            np.copyto(self.lo, buf[1], where=mask)
             return self
-        result = self + o
-        return self._assign_planes((result.hi, result.lo), mask=mask)
+        finally:
+            st.release(mark)
 
     # ------------------------------------------------------------------
     # masked selection (the primitive behind per-path retirement in the
@@ -758,28 +690,12 @@ class ComplexDDArray:
         return ComplexDDArray(o.real - self.real, o.imag - self.imag)
 
     def __mul__(self, other) -> "ComplexDDArray":
-        o = self._coerce(other)
-        a, b, c, d = self.real, self.imag, o.real, o.imag
-        return ComplexDDArray(a * c - b * d, a * d + b * c)
+        return complex_dd_mul(self, self._coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ComplexDDArray":
-        o = self._coerce(other)
-        a, b, c, d = self.real, self.imag, o.real, o.imag
-        if fused_kernels_enabled() and a.hi.shape == c.hi.shape:
-            return _complex_dd_div_fused(a, b, c, d)
-        denom = c * c + d * d
-        # Mirror the scalar ComplexDD check: |z|^2 == 0 means the divisor is
-        # an exact zero (or underflowed to one), which would otherwise fill
-        # the lane with silent NaN.  NaN divisors propagate instead of
-        # raising, exactly as in the element-wise real case.
-        if np.any(denom.hi == 0.0):
-            raise DivisionByZeroError(
-                f"ComplexDDArray division by zero in "
-                f"{int(np.count_nonzero(denom.hi == 0.0))} element(s)"
-            )
-        return ComplexDDArray((a * c + b * d) / denom, (b * c - a * d) / denom)
+        return _complex_dd_div(self, self._coerce(other))
 
     def __rtruediv__(self, other) -> "ComplexDDArray":
         return self._coerce(other) / self

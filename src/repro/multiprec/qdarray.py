@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import DivisionByZeroError
 from .bufferpool import (
-    fused_kernels_enabled,
+    land_planes,
     needs_reference_split,
     op_shape,
     plane_stack,
@@ -37,7 +37,6 @@ from .bufferpool import (
     zero_plane,
 )
 from .eft import (
-    SPLIT_THRESHOLD,
     quick_two_sum,
     quick_two_sum_into,
     split_into,
@@ -59,12 +58,6 @@ def _three_sum(a, b, c):
     a, t3 = two_sum(c, t1)
     b, c = two_sum(t2, t3)
     return a, b, c
-
-
-def _three_sum2(a, b, c):
-    t1, t2 = two_sum(a, b)
-    a, t3 = two_sum(c, t1)
-    return a, t2 + t3
 
 
 def _insert_lowest(s: List[np.ndarray], ptr: np.ndarray, u: np.ndarray
@@ -89,30 +82,14 @@ def _insert_lowest(s: List[np.ndarray], ptr: np.ndarray, u: np.ndarray
     return np.where(full, ptr, ptr + (error != 0.0))
 
 
-def _renorm4(c0, c1, c2, c3) -> Tuple[np.ndarray, ...]:
-    """Element-wise QD ``renorm`` of four doubles (matches the scalar).
-
-    Non-finite leading components (inf *and* NaN, like the scalar renorm's
-    guard) are kept untouched: compacting a poisoned expansion through the
-    insertion logic would only scramble which slots carry the NaNs.
-    """
-    keep = ~np.isfinite(c0)
-    s0, t3 = quick_two_sum(c2, c3)
-    s0, t2 = quick_two_sum(c1, s0)
-    r0, r1 = quick_two_sum(c0, s0)
-
-    s = [r0, r1, np.zeros_like(r0), np.zeros_like(r0)]
-    ptr = (r1 != 0.0).astype(np.int64)
-    ptr = _insert_lowest(s, ptr, t2)
-    _insert_lowest(s, ptr, t3)
-    return (np.where(keep, c0, s[0]), np.where(keep, c1, s[1]),
-            np.where(keep, c2, s[2]), np.where(keep, c3, s[3]))
-
-
 def _renorm5(c0, c1, c2, c3, c4) -> Tuple[np.ndarray, ...]:
     """Element-wise QD ``renorm`` of five doubles (matches the scalar).
 
-    See :func:`_renorm4` for the non-finite (inf/NaN) guard.
+    Non-finite leading components (inf *and* NaN, like the scalar renorm's
+    guard) are kept untouched: compacting a poisoned expansion through the
+    insertion logic would only scramble which slots carry the NaNs.  The
+    product keeps it for :func:`_mul_planes_ref`, the split-overflow
+    fallback of the fused product kernel.
     """
     keep = ~np.isfinite(c0)
     s0, t4 = quick_two_sum(c3, c4)
@@ -130,16 +107,16 @@ def _renorm5(c0, c1, c2, c3, c4) -> Tuple[np.ndarray, ...]:
 
 
 # ----------------------------------------------------------------------
-# fused, allocation-light kernels (bit-for-bit with the reference path)
+# the op bodies: fused, allocation-light kernels
 # ----------------------------------------------------------------------
 # Every function below replays *exactly* the floating-point sequence of the
-# reference implementation above (and hence of the scalar QuadDouble), but
-# with the NumPy call stream fused: scratch planes come from the thread's
-# PlaneStack in one take per op, every intermediate is written with out=,
-# the Dekker splits of the product kernel are computed once per input plane
-# instead of once per partial product, and the renormalisation insertions
-# run off precomputed slot masks with masked copies instead of allocating
-# np.where chains.  The op stream shrinks by ~2x and allocates (amortised)
+# chains in repro.multiprec.reference (and hence of the scalar QuadDouble),
+# but with the NumPy call stream fused: scratch planes come from the
+# thread's PlaneStack in one take per op, every intermediate is written
+# with out=, the Dekker splits of the product kernel are computed once per
+# input plane instead of once per partial product, and the renormalisation
+# insertions run off precomputed slot masks with masked copies instead of
+# allocating np.where chains.  The op stream shrinks by ~2x and allocates (amortised)
 # nothing, which is what makes qd batch lanes cheap enough to scale past a
 # few hundred (see ROADMAP).  Takes are released in try/finally so an
 # exception escaping mid-kernel (e.g. a promoted FP warning) cannot leak
@@ -190,7 +167,7 @@ def _fused_insert(s, ptr, u, top, m0, m1, m2, m3, sel, summed, e):
 
 
 def _fused_renorm4(c0, c1, c2, c3, st, out=None):
-    """Fused form of :func:`_renorm4`.
+    """Fused form of :func:`repro.multiprec.reference.renorm4`.
 
     Writes the four result planes into ``out`` when given (which must not
     alias any ``c`` input), else into fresh arrays; returns them either way.
@@ -275,22 +252,9 @@ def _fused_renorm5(c0, c1, c2, c3, c4, st, out=None):
         st.release(imark)
 
 
-def _add_planes_ref(x, y) -> Tuple[np.ndarray, ...]:
-    """The reference QD ``sloppy_add`` on component planes."""
-    s0, t0 = two_sum(x[0], y[0])
-    s1, t1 = two_sum(x[1], y[1])
-    s2, t2 = two_sum(x[2], y[2])
-    s3, t3 = two_sum(x[3], y[3])
-
-    s1, t0 = two_sum(s1, t0)
-    s2, t0, t1 = _three_sum(s2, t0, t1)
-    s3, t0 = _three_sum2(s3, t0, t2)
-    t0 = t0 + t1 + t3
-    return _renorm5(s0, s1, s2, s3, t0)
-
-
 def _add_planes_fused(x, y, out=None) -> Tuple[np.ndarray, ...]:
-    """Fused QD ``sloppy_add``: same sequence as :func:`_add_planes_ref`.
+    """Fused QD ``sloppy_add``: same sequence as :func:`repro.multiprec.
+    reference.qd_add`.
 
     ``out``, when given, receives the result planes; it may alias the
     *input* planes of ``x``/``y`` (every read of them happens before the
@@ -325,7 +289,7 @@ def _add_planes_fused(x, y, out=None) -> Tuple[np.ndarray, ...]:
 
 
 def _sub_planes_fused(x, y, out=None) -> Tuple[np.ndarray, ...]:
-    """Fused QD subtraction: add of the negated operand, like ``__sub__``."""
+    """Fused QD subtraction: add of the negated operand."""
     st = plane_stack()
     nb, mark = st.take(y[0].shape, 4)
     try:
@@ -376,12 +340,7 @@ def _mul_planes_fused(x, y, out=None) -> Tuple[np.ndarray, ...]:
         t = fb[0]
         mb = bb[0]
         if needs_reference_split(x[0], t, mb) or needs_reference_split(y[0], t, mb):
-            planes = _mul_planes_ref(x, y)
-            if out is None:
-                return planes
-            for dst, src in zip(out, planes):
-                np.copyto(dst, src)
-            return out
+            return land_planes(_mul_planes_ref(x, y), out)
 
         (x0h, x0l, x1h, x1l, x2h, x2l,
          y0h, y0l, y1h, y1l, y2h, y2l) = fb[1:13]
@@ -520,11 +479,8 @@ class QDArray:
                 raise ValueError(f"component shape mismatch: {c0.shape} vs {other.shape}")
         # Normalise so the expansion invariant holds element-wise, exactly
         # like the scalar constructor.
-        if fused_kernels_enabled():
-            comps = _fused_renorm4(c0, c1, c2, c3, plane_stack())
-            self.c0, self.c1, self.c2, self.c3 = comps
-        else:
-            self.c0, self.c1, self.c2, self.c3 = _renorm4(c0, c1, c2, c3)
+        self.c0, self.c1, self.c2, self.c3 = _fused_renorm4(
+            c0, c1, c2, c3, plane_stack())
 
     # ------------------------------------------------------------------
     # constructors / conversions
@@ -618,18 +574,13 @@ class QDArray:
 
     def __add__(self, other) -> "QDArray":
         o = _coerce(other, like=self.c0)
-        x, y = self._components(), o._components()
-        if fused_kernels_enabled():
-            return _raw(*_add_planes_fused(x, y))
-        return _raw(*_add_planes_ref(x, y))
+        return _raw(*_add_planes_fused(self._components(), o._components()))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QDArray":
         o = _coerce(other, like=self.c0)
-        if fused_kernels_enabled():
-            return _raw(*_sub_planes_fused(self._components(), o._components()))
-        return self + (-o)
+        return _raw(*_sub_planes_fused(self._components(), o._components()))
 
     def __rsub__(self, other) -> "QDArray":
         o = _coerce(other, like=self.c0)
@@ -637,10 +588,7 @@ class QDArray:
 
     def __mul__(self, other) -> "QDArray":
         o = _coerce(other, like=self.c0)
-        x, y = self._components(), o._components()
-        if fused_kernels_enabled():
-            return _raw(*_mul_planes_fused(x, y))
-        return _raw(*_mul_planes_ref(x, y))
+        return _raw(*_mul_planes_fused(self._components(), o._components()))
 
     __rmul__ = __mul__
 
@@ -654,18 +602,7 @@ class QDArray:
                 f"QDArray division by zero in "
                 f"{int(np.count_nonzero(o.c0 == 0.0))} element(s)"
             )
-        if fused_kernels_enabled():
-            return _raw(*_div_planes_fused(self._components(), o._components()))
-        q0 = self.c0 / o.c0
-        r = self - o * _from_plane(q0)
-        q1 = r.c0 / o.c0
-        r = r - o * _from_plane(q1)
-        q2 = r.c0 / o.c0
-        r = r - o * _from_plane(q2)
-        q3 = r.c0 / o.c0
-        r = r - o * _from_plane(q3)
-        q4 = r.c0 / o.c0
-        return _raw(*_renorm5(q0, q1, q2, q3, q4))
+        return _raw(*_div_planes_fused(self._components(), o._components()))
 
     def __rtruediv__(self, other) -> "QDArray":
         o = _coerce(other, like=self.c0)
@@ -688,49 +625,38 @@ class QDArray:
     # in-place updates (the accumulation loops of the batched engine)
     # ------------------------------------------------------------------
     # Each computes exactly the out-of-place operation's floating-point
-    # sequence, then lands the result in this array's planes.  On the fused
-    # path the final renormalisation writes the planes *directly* (every
-    # read of the old values happens before it), so a long accumulation --
-    # an evaluator's value row, a Gaussian elimination row -- allocates
-    # nothing at all.
-
-    def _assign_planes(self, planes, mask=None) -> "QDArray":
-        for dst, src in zip(self._components(), planes):
-            np.copyto(dst, src, where=True if mask is None else mask)
-        return self
+    # sequence, then lands the result in this array's planes: the final
+    # renormalisation writes the planes *directly* (every read of the old
+    # values happens before it), so a long accumulation -- an evaluator's
+    # value row, a Gaussian elimination row -- allocates nothing at all.
 
     def iadd_(self, other) -> "QDArray":
         """In-place ``self += other`` (bit-for-bit with ``self + other``)."""
         o = _coerce(other, like=self.c0)
         x = self._components()
-        if fused_kernels_enabled():
-            _add_planes_fused(x, o._components(), out=x)
-            return self
-        return self._assign_planes(_add_planes_ref(x, o._components()))
+        _add_planes_fused(x, o._components(), out=x)
+        return self
 
     def isub_(self, other) -> "QDArray":
         """In-place ``self -= other`` (bit-for-bit with ``self - other``)."""
         o = _coerce(other, like=self.c0)
         x = self._components()
-        if fused_kernels_enabled():
-            _sub_planes_fused(x, o._components(), out=x)
-            return self
-        return self._assign_planes((self + (-o))._components())
+        _sub_planes_fused(x, o._components(), out=x)
+        return self
 
     def iadd_where_(self, other, mask) -> "QDArray":
         """Masked in-place add: ``self = where(mask, self + other, self)``."""
         o = _coerce(other, like=self.c0)
-        x = self._components()
         mask = np.asarray(mask, dtype=bool)
-        if fused_kernels_enabled():
-            st = plane_stack()
-            buf, mark = st.take(self.c0.shape, 4)
-            _add_planes_fused(x, o._components(), out=buf)
-            self._assign_planes(buf, mask=mask)
-            st.release(mark)
+        st = plane_stack()
+        buf, mark = st.take(self.c0.shape, 4)
+        try:
+            _add_planes_fused(self._components(), o._components(), out=buf)
+            for dst, src in zip(self._components(), buf):
+                np.copyto(dst, src, where=mask)
             return self
-        return self._assign_planes(_add_planes_ref(x, o._components()),
-                                   mask=mask)
+        finally:
+            st.release(mark)
 
     # ------------------------------------------------------------------
     # masked selection
@@ -802,11 +728,6 @@ def _raw(c0, c1, c2, c3) -> QDArray:
     out.c2 = c2
     out.c3 = c3
     return out
-
-
-def _from_plane(c0: np.ndarray) -> QDArray:
-    z = np.zeros_like(c0)
-    return _raw(c0, z, z, z)
 
 
 def _components_of(value) -> Tuple[np.ndarray, ...]:
@@ -962,25 +883,12 @@ class ComplexQDArray:
         return ComplexQDArray(o.real - self.real, o.imag - self.imag)
 
     def __mul__(self, other) -> "ComplexQDArray":
-        o = self._coerce(other)
-        a, b, c, d = self.real, self.imag, o.real, o.imag
-        return ComplexQDArray(a * c - b * d, a * d + b * c)
+        return complex_qd_mul(self, self._coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ComplexQDArray":
-        o = self._coerce(other)
-        a, b, c, d = self.real, self.imag, o.real, o.imag
-        if fused_kernels_enabled() and a.c0.shape == c.c0.shape:
-            return _complex_qd_div_fused(a, b, c, d)
-        denom = c * c + d * d
-        # Mirror the scalar ComplexQD check; see ComplexDDArray.__truediv__.
-        if np.any(denom.c0 == 0.0):
-            raise DivisionByZeroError(
-                f"ComplexQDArray division by zero in "
-                f"{int(np.count_nonzero(denom.c0 == 0.0))} element(s)"
-            )
-        return ComplexQDArray((a * c + b * d) / denom, (b * c - a * d) / denom)
+        return _complex_qd_div(self, self._coerce(other))
 
     def __rtruediv__(self, other) -> "ComplexQDArray":
         return self._coerce(other) / self
@@ -1085,39 +993,8 @@ def _complex_parts(value):
     return arr.real, arr.imag
 
 # ----------------------------------------------------------------------
-# into-variants for the plan-arena executor (see the double-double
-# counterparts in ddarray.py): the exact operator dispatch, landed in
-# caller-owned planes instead of fresh allocations.
+# complex helpers for the batch backend and the plan-arena executor
 # ----------------------------------------------------------------------
-def _qd_add_into(x, y, out) -> None:
-    """``out := x + y`` on component-plane quadruples, replaying ``__add__``."""
-    if fused_kernels_enabled():
-        _add_planes_fused(x, y, out=out)
-        return
-    for dst, src in zip(out, _add_planes_ref(x, y)):
-        np.copyto(dst, src)
-
-
-def _qd_sub_into(x, y, out) -> None:
-    """``out := x - y`` on component-plane quadruples, replaying ``__sub__``."""
-    if fused_kernels_enabled():
-        _sub_planes_fused(x, y, out=out)
-        return
-    # Reference __sub__ is ``self + (-o)``.
-    neg = tuple(-c for c in y)
-    for dst, src in zip(out, _add_planes_ref(x, neg)):
-        np.copyto(dst, src)
-
-
-def _qd_mul_into(x, y, out) -> None:
-    """``out := x * y`` on component-plane quadruples, replaying ``__mul__``."""
-    if fused_kernels_enabled():
-        _mul_planes_fused(x, y, out=out)
-        return
-    for dst, src in zip(out, _mul_planes_ref(x, y)):
-        np.copyto(dst, src)
-
-
 def complex_qd_raw(real: QDArray, imag: QDArray) -> ComplexQDArray:
     """Wrap two QDArrays without the constructor's shape validation."""
     out = object.__new__(ComplexQDArray)
@@ -1155,37 +1032,42 @@ def qd_mul_operand(x: ComplexQDArray, other) -> ComplexQDArray:
     return x._coerce(other)
 
 
-def _complex_qd_div_fused(a: QDArray, b: QDArray, c: QDArray,
-                          d: QDArray) -> ComplexQDArray:
-    """``(a + ib) / (c + id)`` with every intermediate in pooled scratch.
+def _complex_qd_div(x: ComplexQDArray, y: ComplexQDArray) -> ComplexQDArray:
+    """``x / y`` with every intermediate in pooled scratch.
 
     Replays the allocating expression ``((a*c + b*d) / denom,
-    (b*c - a*d) / denom)`` kernel for kernel -- same products, same
-    additions, same iterated-correction divisions, so the landed bits are
-    identical -- without materialising the six intermediate ``QDArray``
-    wrappers and their planes.
+    (b*c - a*d) / denom)`` of :func:`repro.multiprec.reference.
+    complex_qd_div` kernel for kernel -- same products, same additions,
+    same iterated-correction divisions, so the landed bits are identical --
+    without materialising the intermediate ``QDArray`` wrappers and their
+    planes.  Operands of different shapes are broadcast up front: the
+    renormalisation kernels need every plane at the result shape.
     """
+    parts = [p._components() for p in (x.real, x.imag, y.real, y.imag)]
+    shape = op_shape(parts[0], parts[2])
+    if x.shape != y.shape:
+        parts = [tuple(np.broadcast_to(c, shape) for c in p) for p in parts]
+    a, b, c, d = parts
     st = plane_stack()
-    shape = a.c0.shape
     fb, mark = st.take(shape, 16)
     try:
         t1, t2 = fb[0:4], fb[4:8]
         denom, num = fb[8:12], fb[12:16]
-        _mul_planes_fused(c._components(), c._components(), out=t1)
-        _mul_planes_fused(d._components(), d._components(), out=t2)
+        _mul_planes_fused(c, c, out=t1)
+        _mul_planes_fused(d, d, out=t2)
         _add_planes_fused(t1, t2, out=denom)
-        # Mirror the scalar ComplexQD check; see ComplexDDArray.__truediv__.
+        # Mirror the scalar ComplexQD check; see the ComplexDDArray division.
         if np.any(denom[0] == 0.0):
             raise DivisionByZeroError(
                 f"ComplexQDArray division by zero in "
                 f"{int(np.count_nonzero(denom[0] == 0.0))} element(s)"
             )
-        _mul_planes_fused(a._components(), c._components(), out=t1)
-        _mul_planes_fused(b._components(), d._components(), out=t2)
+        _mul_planes_fused(a, c, out=t1)
+        _mul_planes_fused(b, d, out=t2)
         _add_planes_fused(t1, t2, out=num)
         real = _raw(*_div_planes_fused(num, denom))
-        _mul_planes_fused(b._components(), c._components(), out=t1)
-        _mul_planes_fused(a._components(), d._components(), out=t2)
+        _mul_planes_fused(b, c, out=t1)
+        _mul_planes_fused(a, d, out=t2)
         _sub_planes_fused(t1, t2, out=num)
         imag = _raw(*_div_planes_fused(num, denom))
         return ComplexQDArray(real, imag)
@@ -1193,11 +1075,14 @@ def _complex_qd_div_fused(a: QDArray, b: QDArray, c: QDArray,
         st.release(mark)
 
 
-def complex_qd_mul_into(out: ComplexQDArray, x: ComplexQDArray,
-                        y: ComplexQDArray) -> ComplexQDArray:
-    """``out := x * y``, bit-for-bit with ``ComplexQDArray.__mul__``.
+def complex_qd_mul(x: ComplexQDArray, y: ComplexQDArray,
+                   out: ComplexQDArray = None) -> ComplexQDArray:
+    """``x * y``, landed in ``out`` when given (else in fresh planes).
 
-    All four real products land in scratch *before* the first write to
+    The one body of ``ComplexQDArray.__mul__`` and of the backend's
+    in-place product forms; bit-for-bit with the composition
+    ``(a*c - b*d, a*d + b*c)`` in :mod:`repro.multiprec.reference`.  All
+    four real products land in scratch *before* the first write to
     ``out``'s planes, so ``out`` may alias either operand.
     """
     a = x.real._components()
@@ -1206,18 +1091,20 @@ def complex_qd_mul_into(out: ComplexQDArray, x: ComplexQDArray,
     d = y.imag._components()
     st = plane_stack()
     shape = op_shape(a, c)
+    if out is None:
+        out = complex_qd_from_planes(result_planes(shape, None, 8))
     fb, mark = st.take(shape, 16)
     try:
         ac = fb[0:4]
         bd = fb[4:8]
         ad = fb[8:12]
         bc = fb[12:16]
-        _qd_mul_into(a, c, ac)
-        _qd_mul_into(b, d, bd)
-        _qd_mul_into(a, d, ad)
-        _qd_mul_into(b, c, bc)
-        _qd_sub_into(ac, bd, out.real._components())
-        _qd_add_into(ad, bc, out.imag._components())
+        _mul_planes_fused(a, c, out=ac)
+        _mul_planes_fused(b, d, out=bd)
+        _mul_planes_fused(a, d, out=ad)
+        _mul_planes_fused(b, c, out=bc)
+        _sub_planes_fused(ac, bd, out=out.real._components())
+        _add_planes_fused(ad, bc, out=out.imag._components())
         return out
     finally:
         st.release(mark)

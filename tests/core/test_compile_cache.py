@@ -4,9 +4,8 @@ The cache shares *compile artifacts* -- schedules, plane specs, Jacobian
 union, op counts -- between :class:`HomotopyPlan` instances over the same
 (start, target) pair; execution state (arena, counters) stays
 per-instance.  The promises: hits share, execution is bit-for-bit
-identical with the cache off, distinct coefficients never collide (the
-coefficients are baked into the schedules), eviction is LRU-bounded, and
-the toggle restores itself.
+identical to a fresh compile, distinct coefficients never collide (the
+coefficients are baked into the schedules), and eviction is LRU-bounded.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.core.evalplan import (
     HomotopyPlan,
     clear_homotopy_compile_cache,
     homotopy_compile_cache_stats,
-    use_homotopy_compile_cache,
 )
 from repro.polynomials import katsura_system, random_sparse_system
 from repro.polynomials.generators import perturb_coefficients
@@ -72,8 +70,9 @@ class TestSharing:
         start, target = plan_pair()
         HomotopyPlan(start, target, gamma=0.6 + 0.8j)  # prime the cache
         cached = HomotopyPlan(start, target, gamma=0.6 + 0.8j)
-        with use_homotopy_compile_cache(False):
-            direct = HomotopyPlan(start, target, gamma=0.6 + 0.8j)
+        clear_homotopy_compile_cache()
+        direct = HomotopyPlan(start, target, gamma=0.6 + 0.8j)
+        assert homotopy_compile_cache_stats()["misses"] == 1
         points = lane_batch(target.dimension)
         t = np.array([0.15, 0.5, 0.85])
         h_a, jac_a, dt_a = cached.execute(points, t)
@@ -101,21 +100,6 @@ class TestSharing:
 
 
 class TestLifecycle:
-    def test_disabled_cache_stores_nothing(self):
-        start, target = plan_pair()
-        with use_homotopy_compile_cache(False):
-            HomotopyPlan(start, target, gamma=0.5 + 0.5j)
-            HomotopyPlan(start, target, gamma=0.5 + 0.5j)
-        stats = homotopy_compile_cache_stats()
-        assert stats == {"hits": 0, "misses": 0, "entries": 0}
-
-    def test_toggle_restores_on_exit(self):
-        start, target = plan_pair()
-        with use_homotopy_compile_cache(False):
-            pass
-        HomotopyPlan(start, target, gamma=0.5 + 0.5j)
-        assert homotopy_compile_cache_stats()["entries"] == 1
-
     def test_eviction_is_lru_bounded(self):
         limit = evalplan._COMPILE_CACHE_LIMIT
         for seed in range(limit + 3):

@@ -16,7 +16,7 @@ import pytest
 from repro.core.batch import VectorisedBatchEvaluator
 from repro.core.evalplan import EvaluationPlan, HomotopyPlan, use_eval_plans
 from repro.multiprec.backend import backend_for_context, masked_lane_errstate
-from repro.multiprec.bufferpool import plane_stack, use_fused_kernels
+from repro.multiprec.bufferpool import plane_stack
 from repro.multiprec.numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE
 from repro.polynomials.monomial import Monomial
 from repro.polynomials.polynomial import Polynomial
@@ -165,8 +165,8 @@ class TestLifecycle:
     @pytest.mark.parametrize("context", (DOUBLE, DOUBLE_DOUBLE),
                              ids=lambda c: c.name)
     def test_nested_toggle_scopes_with_arenas_on(self, context):
-        # The arena executor must be insensitive to the fused-kernel and
-        # plan toggles flipping between executions of the same plan.
+        # The arena executor must be insensitive to the plan toggle
+        # flipping between executions of the same plan.
         system = example_system()
         backend = backend_for_context(context)
         points = lane_points(backend, 3, 5, seed=10)
@@ -175,13 +175,12 @@ class TestLifecycle:
             with use_eval_plans(False):
                 walk = evaluator.evaluate(points)
                 walk_snap = snapshot(walk.values, walk.jacobian, context)
-            for fused in (True, False):
-                with use_fused_kernels(fused), use_eval_plans(True):
-                    with use_eval_plans(False):
-                        pass  # nested flip must restore cleanly
-                    got = evaluator.evaluate(points)
-                    assert_matches_snapshot(got.values, got.jacobian,
-                                            walk_snap, context)
+            with use_eval_plans(True):
+                with use_eval_plans(False):
+                    pass  # nested flip must restore cleanly
+                got = evaluator.evaluate(points)
+                assert_matches_snapshot(got.values, got.jacobian,
+                                        walk_snap, context)
 
     def test_exception_mid_execution_leaves_arena_reusable(self):
         system = example_system()

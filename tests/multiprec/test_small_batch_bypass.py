@@ -1,63 +1,59 @@
-"""The dd add/sub small-batch bypass: tiny batches take the reference path.
+"""The dd add/sub small-batch bypass: tiny batches take the plain chain.
 
-Both paths are bit-for-bit identical, so the gate is purely a cost policy:
-below :data:`~repro.multiprec.bufferpool.DD_ADDSUB_FUSED_MIN_ELEMENTS`
-the fused add/sub kernels lose to the plain chains (no Dekker splits to
-share, fixed scratch-stack cost) and the gate routes around them.  An
-explicit :func:`~repro.multiprec.bufferpool.use_fused_kernels` scope
-overrides the threshold, so the differential tests keep pinning exact
-paths.
+The fused kernel and the chain are bit-for-bit identical, so the gate is
+purely a cost policy: below
+:data:`~repro.multiprec.bufferpool.DD_ADDSUB_FUSED_MIN_ELEMENTS` the fused
+add/sub kernel loses to the plain chain (no Dekker splits to share, fixed
+scratch-stack cost) and the operators route around it.  The gate is pinned
+here by whether an op takes scratch from the plane stack, and the results
+on both sides are pinned against :mod:`repro.multiprec.reference`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from repro.multiprec.bufferpool import (
-    DD_ADDSUB_FUSED_MIN_ELEMENTS,
-    dd_addsub_fused_threshold,
-    fused_addsub_enabled,
-    use_fused_kernels,
-)
+from repro.multiprec import reference
+from repro.multiprec.bufferpool import DD_ADDSUB_FUSED_MIN_ELEMENTS, plane_stack
 from repro.multiprec.ddarray import DDArray
+
+BELOW = DD_ADDSUB_FUSED_MIN_ELEMENTS - 1
+AT = DD_ADDSUB_FUSED_MIN_ELEMENTS
+
+
+def random_pair(size, seed=99):
+    rng = np.random.default_rng(seed)
+    return tuple(DDArray(rng.normal(size=size), rng.normal(size=size) * 1e-17)
+                 for _ in range(2))
+
+
+def takes_scratch(op, size) -> bool:
+    """Whether ``op`` draws planes of the operand shape from the stack."""
+    stack = plane_stack()
+    stack.clear()
+    op(*random_pair(size))
+    return stack.capacity() > 0
 
 
 class TestGate:
-    def test_small_batches_bypass_fusion(self):
-        assert not fused_addsub_enabled(1)
-        assert not fused_addsub_enabled(DD_ADDSUB_FUSED_MIN_ELEMENTS - 1)
-        assert fused_addsub_enabled(DD_ADDSUB_FUSED_MIN_ELEMENTS)
-        assert fused_addsub_enabled(DD_ADDSUB_FUSED_MIN_ELEMENTS * 4)
+    @pytest.mark.parametrize("op", [DDArray.__add__, DDArray.__sub__],
+                             ids=["add", "sub"])
+    def test_gate_sits_at_the_constant(self, op):
+        assert not takes_scratch(op, 1)
+        assert not takes_scratch(op, BELOW)
+        assert takes_scratch(op, AT)
+        assert takes_scratch(op, AT * 4)
 
-    def test_forced_scope_overrides_threshold(self):
-        with use_fused_kernels(True):
-            assert fused_addsub_enabled(1)
-        with use_fused_kernels(False):
-            assert not fused_addsub_enabled(10**9)
-        assert not fused_addsub_enabled(1)  # back to the size gate
+    def test_broadcast_operand_gates_on_the_larger_size(self):
+        small = DDArray(np.array([1.5]))
+        large, _ = random_pair(AT)
+        assert takes_scratch(lambda a, b: small + large, AT)
 
-    def test_threshold_override_scope(self):
-        with dd_addsub_fused_threshold(4):
-            assert fused_addsub_enabled(4)
-            assert not fused_addsub_enabled(3)
-        assert not fused_addsub_enabled(4)
-
-    def test_both_paths_bit_for_bit_across_the_threshold(self):
-        rng = np.random.default_rng(99)
-        for size in (3, DD_ADDSUB_FUSED_MIN_ELEMENTS,
-                     DD_ADDSUB_FUSED_MIN_ELEMENTS + 5):
-            a = DDArray(rng.normal(size=size), rng.normal(size=size) * 1e-17)
-            b = DDArray(rng.normal(size=size), rng.normal(size=size) * 1e-17)
-            default_sum = a + b  # whichever path the size gate picks
-            with use_fused_kernels(True):
-                fused = a + b
-            with use_fused_kernels(False):
-                reference = a + b
-            for result in (default_sum, fused):
-                assert np.array_equal(result.hi, reference.hi)
-                assert np.array_equal(result.lo, reference.lo)
-            default_diff = a - b
-            with use_fused_kernels(False):
-                ref_diff = a - b
-            assert np.array_equal(default_diff.hi, ref_diff.hi)
-            assert np.array_equal(default_diff.lo, ref_diff.lo)
+    @pytest.mark.parametrize("size", [3, BELOW, AT, AT + 5])
+    def test_operators_match_the_reference_chain(self, size):
+        a, b = random_pair(size)
+        for got, expected in ((a + b, reference.dd_add(a, b)),
+                              (a - b, reference.dd_sub(a, b))):
+            assert np.array_equal(got.hi, expected.hi)
+            assert np.array_equal(got.lo, expected.lo)

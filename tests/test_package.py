@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -57,3 +60,48 @@ class TestPublicAPI:
         for module in (core, gpusim, multiprec, polynomials, tracking):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def _imported_modules(path, package):
+    """Absolute names of every module an AST import in ``path`` names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:
+                base = package.rsplit(".", node.level - 1)[0]
+                module = f"{base}.{module}" if module else base
+            yield module
+            for alias in node.names:
+                yield f"{module}.{alias.name}"
+
+
+REFERENCE = "repro.multiprec.reference"
+
+
+class TestReferenceModuleBoundary:
+    def test_only_benchmarks_import_the_reference_chains(self):
+        """``repro.multiprec.reference`` is the oracle of the fused kernels:
+        tests and ``repro.bench`` compare against it, product code never
+        runs it."""
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            parts = path.relative_to(root.parent).with_suffix("").parts
+            package = ".".join(parts[:-1])
+            module = package if parts[-1] == "__init__" else ".".join(parts)
+            if module.startswith("repro.bench") or module == REFERENCE:
+                continue
+            if REFERENCE in set(_imported_modules(path, package)):
+                offenders.append(module)
+        assert offenders == []
+
+    def test_boundary_scan_sees_relative_imports(self, tmp_path):
+        source = tmp_path / "probe.py"
+        source.write_text("from ..multiprec import reference\n"
+                          "from .reference import qd_add\n", encoding="utf-8")
+        assert REFERENCE in set(_imported_modules(source, "repro.core"))
+        assert REFERENCE in set(_imported_modules(source, "repro.multiprec"))
