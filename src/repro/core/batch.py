@@ -224,12 +224,11 @@ class VectorisedBatchEvaluator:
     Buffer ownership
     ----------------
     The walk path builds fresh accumulator arrays per call, so its rows
-    belong to the caller outright.  The plan path returns rows owned by
-    the plan's persistent :class:`~repro.multiprec.bufferpool.PlanArena`:
-    they are valid -- and freely mutable, the batched linear solver writes
-    into them with ``copy=False`` -- until the *next* ``evaluate`` call on
-    the same evaluator, which overwrites them.  Callers that need the rows
-    to outlive the next evaluation must copy.
+    belong to the caller outright.  The plan path returns views of the row
+    tensor in the plan's persistent :class:`~repro.multiprec.bufferpool.
+    PlanArena`: they are valid -- and freely mutable -- until the *next*
+    ``evaluate`` call on the same evaluator, which overwrites them.
+    Callers that need the rows to outlive the next evaluation must copy.
     """
 
     def __init__(self, system: PolynomialSystem, *,

@@ -32,17 +32,30 @@ PolynomialSystem` -- and a :class:`HomotopyPlan` compiles a start+target
   polynomials and (for :class:`HomotopyPlan`) across both systems; the
   derived common-factor, monomial-value and scaled-gradient planes are
   deduplicated the same way, keyed by their exact operands;
-* a precomputed **accumulation schedule** that lands ``coeff*cf*product``
-  and the scaled gradient contributions directly into the value/Jacobian
-  accumulators through the in-place backend kernels
-  (:meth:`~repro.multiprec.backend.ComplexBatchBackend.iadd` /
-  :meth:`~repro.multiprec.backend.ComplexBatchBackend.iadd_mul`), preserving
-  the walk path's per-accumulator operand order exactly;
+* a precomputed **accumulation schedule** that adds ``coeff*cf*product``
+  and the scaled gradient contributions into the value/Jacobian
+  accumulators in the walk path's per-accumulator order, every product
+  with the walk's operand order;
 * for :class:`HomotopyPlan`, the homotopy blend and ``dh/dt = f - gamma g``
-  fused into the same pass: per-system accumulators are combined entry-wise
-  with ``iadd_mul`` / ``isub_mul``, structurally zero Jacobian entries skip
-  their weighted products entirely, and ``dh/dt`` lands in place in the
-  target accumulators -- no blended temporaries.
+  fused into the same pass over the sparse union of the two Jacobian
+  structures: structurally zero Jacobian entries skip their weighted
+  products entirely -- no blended temporaries.
+
+Execution is **levelled**, the CPU form of the paper's one-launch-per-stage
+evaluation.  At compile time every plane spec and accumulation product is
+lowered to binary products (power ladders, chains and Speelpenning sweeps
+in their walk order) and levelled by ``1 + max(operand level)``; one
+execution then runs each level as one gather per operand side and *one*
+stacked complex product over the ``(P, B)`` plane tensor (in ``d`` a power
+stays one ``np.square`` / ``np.power`` ufunc per exponent).  Accumulation
+runs entry by entry: accumulators are sorted longest first, so the k-th
+addends of all of them form a prefix of the ``(R, B)`` row tensor -- one
+gather and one stacked add per k, and each accumulator still sees its
+addends in the walk's order.  The blend is one stacked product of the
+start rows by ``gamma (1-t)``, one of the target rows by ``t`` and one
+stacked add where both contribute; ``dh/dt`` is one stacked product by
+``gamma`` and one stacked subtract.  The kernels are element-wise, so a row
+inside a ``(K, B)`` stack carries the bits it would get on its own.
 
 Because every shared plane carries bit-identical values and every
 accumulator receives the identical sequence of identical addends, the
@@ -60,10 +73,12 @@ multiply chain) next to the matching counts of the walk path, which is how
 plan never schedules more work than the walk and wins >= 1.5x on workloads
 with shared supports.
 
-Plans have one execution path.  Every plane and accumulator row lands in
-a plan-owned :class:`~repro.multiprec.bufferpool.PlanArena` slot, sized
-once per lane count, so a steady-state execution allocates almost nothing
-and the rows it returns stay valid until the plan's next execution.
+Plans have one execution path.  The plane and row tensors, the gather
+buffers and the views the executor writes through live in a plan-owned
+:class:`~repro.multiprec.bufferpool.PlanArena`, built once per lane count,
+so a steady-state execution allocates almost nothing; the ``(B,)`` rows it
+returns are views of the row tensor, valid until the plan's next
+execution.
 
 The module-wide toggle (:func:`use_eval_plans`, default on) keeps the
 walk path as the differential oracle of that one path; flipping the
@@ -84,7 +99,6 @@ from ..errors import ConfigurationError
 from ..multiprec.backend import ComplexBatchBackend, backend_for_context
 from ..multiprec.bufferpool import PlanArena
 from ..multiprec.numeric import DOUBLE, NumericContext
-from ..polynomials.speelpenning import speelpenning_gradient
 from ..polynomials.system import PolynomialSystem
 
 __all__ = [
@@ -502,9 +516,9 @@ class _Compiler:
         scalars (the same monomial entering different polynomials, or a
         start and a target system, with different coefficients), no
         per-scalar product plane is materialised for it at all -- every
-        consumer applies its own scale at accumulation time through the
-        ``iadd_mul`` kernels, exactly the multiply the walk path performs,
-        so the plane is shared across all the scales.  Planes consumed
+        consumer applies its own scale at accumulation time, exactly the
+        multiply the walk path performs, so the plane is shared across all
+        the scales.  Planes consumed
         under a single scalar keep the PR 5 behaviour (materialise when
         multi-consumer, inline otherwise).
         """
@@ -618,24 +632,362 @@ class _Compiler:
 
 
 # ----------------------------------------------------------------------
+# lowering: the op graph as levelled binary products
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Program:
+    """A compiled plan lowered for one arithmetic flavour.
+
+    Every plane is one row of a ``(planes, B)`` tensor: the ``n`` input
+    rows first, then the constant rows (``constants``), then one
+    contiguous block per level.  ``levels`` holds, per level, the stacked
+    product ``(a, b, start, stop)`` -- operand plane indices and the output
+    block -- and, for arithmetics whose ``**`` is one ufunc, one
+    ``(exponent, base, start, stop)`` group per exponent.  Every operand
+    of a level lives in a lower level, so each level is one kernel call per
+    group.
+
+    Accumulators occupy rows ``[0, accumulators)`` of the row tensor,
+    longest first: ``seed`` lists the plane of every non-empty
+    accumulator's first addend, ``steps[k - 1]`` the plane of the k-th
+    addend of the accumulators that have one -- always a prefix of the
+    rows, so step k is one gather and one stacked add.  ``accumulator_rows``
+    maps each accumulator (in registration order) to its row.
+    """
+
+    planes: int
+    constants: Tuple[Tuple[int, str, complex], ...]
+    levels: Tuple[Tuple[Optional[tuple], Tuple[tuple, ...]], ...]
+    seed: np.ndarray
+    steps: Tuple[np.ndarray, ...]
+    accumulators: int
+    accumulator_rows: Tuple[int, ...]
+
+
+class _Lowering:
+    """Lowers plane specs and accumulation entries to levelled products.
+
+    Each node is an input row, a constant row, a binary product or (for
+    ufunc-power arithmetics) a power; a product's level is one more than
+    its deepest operand's.  Every lowering replays the operation order of
+    the schedule it replaces, so stacked execution lands the same bits:
+
+    * power ladders keep the binary ``**`` ladder's multiply order (its
+      first accumulation ``one * square`` is exact and becomes an alias,
+      its final unused squaring is dropped), chains stay left folds and
+      sweeps replay :func:`~repro.polynomials.speelpenning.
+      speelpenning_gradient`'s forward/backward order;
+    * a scalar operand keeps its place in ``a * b`` unless the arithmetic
+      evaluates ``scalar * array`` as ``array * scalar`` (``swap``): dd/qd
+      real products are not bitwise commutative, and neither is NumPy's
+      complex multiply;
+    * identical products (same operands, same order) are computed once.
+    """
+
+    def __init__(self, dimension: int, specs: Sequence[tuple], *,
+                 ladder: bool, swap: bool):
+        self._ladder = ladder
+        self._swap = swap
+        self._keys: Dict[tuple, int] = {}
+        self._nodes: List[tuple] = []
+        self._level: List[int] = []
+        self._values: Dict[int, complex] = {}
+        for p in range(dimension):
+            self._add(("row", p), 0)
+        self._planes: List = [None] * len(specs)
+        self._lower_specs(specs)
+
+    # -- nodes ------------------------------------------------------------
+    def _add(self, key: tuple, level: int) -> int:
+        node = self._keys.get(key)
+        if node is None:
+            node = len(self._nodes)
+            self._nodes.append(key)
+            self._level.append(level)
+            self._keys[key] = node
+        return node
+
+    def _const(self, kind: str, value) -> int:
+        value = complex(value)
+        # repr keeps signed zeros apart: they coerce to different bits.
+        node = self._add(("const", kind, repr(value)), 0)
+        self._values[node] = value
+        return node
+
+    def _mul(self, a: int, b: int) -> int:
+        return self._add(("mul", a, b),
+                         1 + max(self._level[a], self._level[b]))
+
+    def _power(self, base: int, exponent: int) -> int:
+        if not self._ladder:
+            return self._add(("pow", base, exponent), 1 + self._level[base])
+        if exponent == 0:
+            return self._const("full", 1)
+        square, result = base, None
+        e = exponent
+        while e:
+            if e & 1:
+                result = square if result is None else self._mul(result, square)
+            e >>= 1
+            if e:
+                square = self._mul(square, square)
+        return result
+
+    def _sweep(self, factors: List[int]) -> List[int]:
+        k = len(factors)
+        if k == 2:
+            return [factors[1], factors[0]]
+        forward = [None] * k
+        forward[1] = factors[0]
+        for r in range(1, k - 1):
+            forward[r + 1] = self._mul(forward[r], factors[r])
+        gradient = [None] * k
+        gradient[k - 1] = forward[k - 1]
+        backward = factors[k - 1]
+        gradient[k - 2] = self._mul(forward[k - 2], backward)
+        for r in range(1, k - 2):
+            backward = self._mul(backward, factors[k - 1 - r])
+            gradient[k - 2 - r] = self._mul(forward[k - 2 - r], backward)
+        gradient[0] = self._mul(backward, factors[1])
+        return gradient
+
+    def _atom(self, atom: tuple) -> int:
+        kind, payload = atom
+        if kind == "plane":
+            return self._planes[payload]
+        return self._const(kind, payload)
+
+    def _product(self, a: tuple, b: tuple) -> int:
+        if self._swap and a[0] == "scalar":
+            a, b = b, a
+        return self._mul(self._atom(a), self._atom(b))
+
+    def _lower_specs(self, specs: Sequence[tuple]) -> None:
+        planes = self._planes
+        for pid, spec in enumerate(specs):
+            kind = spec[0]
+            if kind == "row":
+                planes[pid] = spec[1]
+            elif kind == "power":
+                planes[pid] = self._power(planes[spec[1]], spec[2])
+            elif kind == "sweep":
+                planes[pid] = self._sweep([planes[r] for r in spec[1]])
+            elif kind == "grad":
+                planes[pid] = planes[spec[1]][spec[2]]
+            elif kind == "chain":
+                powers = spec[1]
+                acc = self._mul(planes[powers[0]], planes[powers[1]])
+                for power in powers[2:]:
+                    acc = self._mul(acc, planes[power])
+                planes[pid] = acc
+            else:  # "mul"
+                planes[pid] = self._product(spec[1], spec[2])
+
+    def addends(self, entries: Sequence[tuple]) -> List[int]:
+        """The addend node of every accumulation entry, in entry order."""
+        nodes = []
+        for entry in entries:
+            kind = entry[0]
+            if kind in ("seed", "add"):
+                nodes.append(self._atom(entry[1]))
+            elif kind == "seed_copy":
+                nodes.append(self._planes[entry[1]])
+            else:  # "seed_mul" / "add_mul"
+                nodes.append(self._product(entry[1], entry[2]))
+        return nodes
+
+    # -- layout -------------------------------------------------------------
+    def program(self, accumulators: Sequence[List[int]]) -> _Program:
+        """Lay the graph out as plane-tensor blocks; sort the accumulators."""
+        nodes = self._nodes
+        # Input rows are the first nodes, so row p is plane p.
+        index = {node: node for node, key in enumerate(nodes)
+                 if key[0] == "row"}
+        constants = []
+        by_level: Dict[int, List[int]] = {}
+
+        def place(group: List[int]) -> Tuple[int, int]:
+            start = len(index)
+            for node in group:
+                index[node] = len(index)
+            return start, len(index)
+
+        for node, key in enumerate(nodes):
+            if key[0] == "const":
+                constants.append((len(index), key[1], self._values[node]))
+                place([node])
+            elif key[0] != "row":
+                by_level.setdefault(self._level[node], []).append(node)
+
+        def operands(group: List[int], slot: int) -> np.ndarray:
+            return np.array([index[nodes[node][slot]] for node in group],
+                            np.intp)
+
+        levels = []
+        for level in sorted(by_level):
+            products = None
+            muls = [node for node in by_level[level] if nodes[node][0] == "mul"]
+            if muls:
+                products = (operands(muls, 1), operands(muls, 2)) + place(muls)
+            pows = [node for node in by_level[level] if nodes[node][0] == "pow"]
+            powers = []
+            for exponent in sorted({nodes[node][2] for node in pows}):
+                group = [node for node in pows if nodes[node][2] == exponent]
+                powers.append((exponent, operands(group, 1)) + place(group))
+            levels.append((products, tuple(powers)))
+
+        order = sorted(range(len(accumulators)),
+                       key=lambda a: -len(accumulators[a]))
+        rows = [0] * len(accumulators)
+        for row, a in enumerate(order):
+            rows[a] = row
+        longest = max((len(acc) for acc in accumulators), default=0)
+        addend_planes = [
+            np.array([index[accumulators[a][k]] for a in order
+                      if len(accumulators[a]) > k], np.intp)
+            for k in range(longest)]
+        return _Program(
+            planes=len(index),
+            constants=tuple(constants),
+            levels=tuple(levels),
+            seed=(addend_planes[0] if addend_planes
+                  else np.zeros(0, np.intp)),
+            steps=tuple(addend_planes[1:]),
+            accumulators=len(accumulators),
+            accumulator_rows=tuple(rows),
+        )
+
+
+def _lower(dimension: int, specs: Sequence[tuple],
+           schedules: Sequence[List[_PolySchedule]], *, ladder: bool,
+           swap: bool) -> Tuple[_Program, List[Dict[tuple, int]]]:
+    """Lower the specs and every system's accumulators into a program.
+
+    Returns the program and, per system, the row of each accumulator keyed
+    ``("val", i)`` / ``("jac", i, j)``.
+    """
+    lowering = _Lowering(dimension, specs, ladder=ladder, swap=swap)
+    keys: List[Tuple[int, tuple]] = []
+    accumulators: List[List[int]] = []
+    for s, system_schedules in enumerate(schedules):
+        for i, schedule in enumerate(system_schedules):
+            keys.append((s, ("val", i)))
+            accumulators.append(lowering.addends(schedule.value))
+            for j, entries in schedule.jacobian.items():
+                keys.append((s, ("jac", i, j)))
+                accumulators.append(lowering.addends(entries))
+    program = lowering.program(accumulators)
+    rows: List[Dict[tuple, int]] = [{} for _ in schedules]
+    for (s, key), row in zip(keys, program.accumulator_rows):
+        rows[s][key] = row
+    return program, rows
+
+
+@dataclass(frozen=True)
+class _RowLayout:
+    """Where an execution's returned rows live in the row tensor.
+
+    The accumulators come first, then one zero row per structurally zero
+    Jacobian entry (up to ``zero_stop``), then the plan's own rows; a
+    tensor has ``total`` rows.  The zero rows -- and the empty
+    accumulators just before them -- are re-zeroed every execution, since
+    callers may mutate the rows they get.
+    """
+
+    total: int
+    zero_stop: int
+    values: Tuple[int, ...]
+    jacobian: Tuple[Tuple[int, ...], ...]
+    t_derivative: Tuple[int, ...] = ()
+
+
+def _jacobian_rows(dimension: int, entry_rows: Dict[tuple, int],
+                   first_zero: int) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """Row of every Jacobian entry, structural zeros numbered from
+    ``first_zero``; returns the rows and the end of the zero block."""
+    zero = first_zero
+    jacobian = []
+    for i in range(dimension):
+        row = []
+        for j in range(dimension):
+            if ("jac", i, j) in entry_rows:
+                row.append(entry_rows[("jac", i, j)])
+            else:
+                row.append(zero)
+                zero += 1
+        jacobian.append(tuple(row))
+    return tuple(jacobian), zero
+
+
+# ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-class _PlanExecutor:
-    """Shared execution machinery of the single-system and homotopy plans.
+class _Tensors:
+    """One lane count's plane and row tensors, gather buffers and views.
 
-    Every plane and accumulator row lands in this plan's persistent
-    :class:`~repro.multiprec.bufferpool.PlanArena` through the backend's
-    ``*_into`` kernels.  Slots are keyed by the op graph, sized at the
-    first execution for a lane count, and re-sized only when the lane
-    count changes (lane compression).  Buffers handed out of an execution
-    stay arena-owned: they are valid until the next execution of the same
-    plan, and callers may freely mutate them in between (the batched
-    linear solver does) because every execution fully overwrites every row
-    it returns.
+    Built once per arena sizing; an execution only gathers, computes into
+    and reads views of these buffers, so it allocates nothing new.
+    """
+
+    def __init__(self, backend: ComplexBatchBackend, program: _Program,
+                 layout: _RowLayout, dimension: int, lanes: int):
+        def zeros(count: int):
+            return backend.zeros((count, lanes))
+
+        self.planes = planes = zeros(program.planes)
+        self.rows = rows = zeros(layout.total)
+        self.inputs = planes[0:dimension]
+        for index, kind, value in program.constants:
+            if kind == "full":
+                const = backend.full((lanes,), value)
+            else:  # "scalar": what ``array * value`` coerces value to
+                const = backend.embed_complex128(
+                    np.full(lanes, value, dtype=np.complex128))
+            backend.copy_into(planes[index], const)
+
+        # Per level: the stacked product's (a, b, out, a index, b index),
+        # or None, and one (exponent, base, out, base index) per power group.
+        self.levels: List[tuple] = []
+        for products, powers in program.levels:
+            if products is not None:
+                a, b, start, stop = products
+                products = (zeros(len(a)), zeros(len(b)), planes[start:stop],
+                            a, b)
+            self.levels.append((products, [
+                (exponent, zeros(len(base)), planes[start:stop], base)
+                for exponent, base, start, stop in powers]))
+
+        filled = len(program.seed)
+        self.seed = rows[0:filled]
+        self.zeros = (rows[filled:layout.zero_stop]
+                      if filled < layout.zero_stop else None)
+        self.steps = [(zeros(len(addends)), rows[0:len(addends)], addends)
+                      for addends in program.steps]
+        self.values = [rows[r] for r in layout.values]
+        self.jacobian = [[rows[r] for r in row] for row in layout.jacobian]
+        self.t_derivative = [rows[r] for r in layout.t_derivative]
+
+
+class _PlanExecutor:
+    """Levelled execution shared by the single-system and homotopy plans.
+
+    One execution copies the points into the plane tensor, then runs level
+    by level: gather each level's operands with one ``take`` per operand
+    side, one stacked product (and, for ufunc powers, one call per
+    exponent).  Accumulation seeds every accumulator with one gather and
+    adds the k-th addends of all accumulators with one gather and one
+    stacked add per k.  The tensors live in this plan's persistent
+    :class:`~repro.multiprec.bufferpool.PlanArena`, built at the first
+    execution for a lane count and rebuilt only when the lane count
+    changes (lane compression).  Rows handed out of an execution are views
+    of the row tensor: valid until the next execution of the same plan,
+    which fully overwrites every row it returns.
     """
 
     backend: ComplexBatchBackend
-    _specs: List[tuple]
+    dimension: int
+    _program: _Program
+    _layout: _RowLayout
 
     def _init_execution_state(self) -> None:
         self._arena = PlanArena()
@@ -646,148 +998,62 @@ class _PlanExecutor:
         """This plan's persistent buffer arena (hit/miss/resize counters)."""
         return self._arena
 
-    def _zeros_factory(self, lanes: int):
-        return lambda: self.backend.zeros((lanes,))
+    @property
+    def levels(self) -> int:
+        """Stacked product stages of one execution's plane graph."""
+        return len(self._program.levels)
 
-    def _pow_into(self, out, base, exponent: int):
-        """``base ** exponent`` landed in ``out``, replaying ``__pow__``.
+    @property
+    def accumulation_steps(self) -> int:
+        """Stacked add stages of one execution's accumulation."""
+        return len(self._program.steps)
 
-        The ``d`` backend's ``**`` is a single ``np.power`` ufunc; the
-        multiprecision arrays run the binary ladder, replayed here through
-        ``mul_into`` with the running square in a shared arena slot.  The
-        ladder's final (unused) squaring is skipped -- it never reaches the
-        result, so the landed bits are identical.
+    @staticmethod
+    def _flavour(backend: ComplexBatchBackend) -> Dict[str, bool]:
+        """How the backend's arrays multiply and raise to powers.
+
+        NumPy arrays raise with one ufunc and keep ``scalar * array`` in
+        that order; the multiprecision arrays run the ``**`` ladder and
+        evaluate ``scalar * array`` as ``array * scalar``.
         """
+        native = isinstance(backend.zeros((0,)), np.ndarray)
+        return {"ladder": not native, "swap": not native}
+
+    def _tensors(self, lanes: int):
+        self._arena.ensure(lanes)
+        return self._arena.slot(("tensors",), lambda: self._bind(lanes))
+
+    def _bind(self, lanes: int):
+        return _Tensors(self.backend, self._program, self._layout,
+                        self.dimension, lanes)
+
+    def _evaluate(self, points, tensors: _Tensors) -> None:
+        """Compute every plane and accumulator row of one execution."""
         backend = self.backend
-        if isinstance(out, np.ndarray):
-            # ndarray.__pow__ special-cases exponent 2 as np.square, whose
-            # complex product differs in the last bit from npy_cpow.
-            if exponent == 2:
-                np.square(base, out=out)
-            else:
-                np.power(base, exponent, out=out)
-            return out
-        arena = self._arena
-        lanes = self._arena.lanes
-        square = arena.slot(("pow-square",), self._zeros_factory(lanes))
-        backend.copy_into(square, base)
-        result = None
-        e = int(exponent)
-        while e:
-            if e & 1:
-                # The ladder's first accumulation is `one * square`, an
-                # exact identity in every plane arithmetic: land it as a
-                # copy (the walk's `x ** 2` is one squaring, not two
-                # multiplies).  `out` is a distinct slot, so the running
-                # square keeps squaring undisturbed.
-                result = (backend.copy_into(out, square) if result is None
-                          else backend.mul_into(out, result, square))
-            e >>= 1
-            if e:
-                backend.mul_into(square, square, square)
-        if result is None:  # exponent 0: the constant-one plane
-            ones = arena.slot(("pow-ones",),
-                              lambda: backend.ones((lanes,)))
-            result = backend.copy_into(out, ones)
-        return result
-
-    def _compute_planes(self, points, lanes: int) -> List:
-        backend = self.backend
-        arena = self._arena
-        factory = self._zeros_factory(lanes)
-        planes: List = [None] * len(self._specs)
-        for pid, spec in enumerate(self._specs):
-            kind = spec[0]
-            if kind == "row":
-                planes[pid] = points[spec[1]]
-            elif kind == "power":
-                slot = arena.slot(("plane", pid), factory)
-                planes[pid] = self._pow_into(slot, planes[spec[1]], spec[2])
-            elif kind == "sweep":
-                factors = [planes[rp] for rp in spec[1]]
-                planes[pid] = speelpenning_gradient(factors)[0]
-            elif kind == "grad":
-                planes[pid] = planes[spec[1]][spec[2]]
-            elif kind == "chain":
-                slot = arena.slot(("plane", pid), factory)
-                powers = spec[1]
-                acc = backend.mul_into(slot, planes[powers[0]],
-                                       planes[powers[1]])
-                for power in powers[2:]:
-                    acc = backend.mul_into(slot, acc, planes[power])
-                planes[pid] = acc
-            else:  # "mul"
-                slot = arena.slot(("plane", pid), factory)
-                planes[pid] = backend.mul_into(
-                    slot,
-                    self._atom(spec[1], planes, lanes),
-                    self._atom(spec[2], planes, lanes))
-        return planes
-
-    def _atom(self, atom: tuple, planes: List, lanes: int):
-        kind, payload = atom
-        if kind == "plane":
-            return planes[payload]
-        if kind == "scalar":
-            return payload
-        # "full": constant rows never change value -- fill once per sizing.
-        backend = self.backend
-        return self._arena.slot(("const", payload),
-                                lambda: backend.full((lanes,), payload))
-
-    def _run_entries(self, entries: List[tuple], planes: List, lanes: int,
-                     out):
-        backend = self.backend
-        acc = None
-        for entry in entries:
-            kind = entry[0]
-            if kind == "seed":  # always a ("full", z) constant atom
-                acc = backend.full_into(out, entry[1][1])
-            elif kind == "seed_copy":
-                acc = backend.copy_into(out, planes[entry[1]])
-            elif kind == "seed_mul":
-                acc = backend.mul_into(out,
-                                       self._atom(entry[1], planes, lanes),
-                                       self._atom(entry[2], planes, lanes))
-            elif kind == "add":
-                acc = backend.iadd(acc, self._atom(entry[1], planes, lanes))
-            else:  # "add_mul"
-                acc = backend.iadd_mul(acc,
-                                       self._atom(entry[1], planes, lanes),
-                                       self._atom(entry[2], planes, lanes))
-        return acc
-
-    def _run_system(self, schedules: List[_PolySchedule], planes: List,
-                    lanes: int, tag: str
-                    ) -> Tuple[List, List[Dict[int, object]]]:
-        backend = self.backend
-        arena = self._arena
-        factory = self._zeros_factory(lanes)
-        values: List = []
-        rows: List[Dict[int, object]] = []
-        for i, schedule in enumerate(schedules):
-            slot = arena.slot((tag, "val", i), factory)
-            if schedule.value:
-                values.append(self._run_entries(schedule.value, planes,
-                                                lanes, slot))
-            else:
-                values.append(backend.zero_into(slot))
-            row: Dict[int, object] = {}
-            for p, entries in schedule.jacobian.items():
-                jslot = arena.slot((tag, "jac", i, p), factory)
-                row[p] = self._run_entries(entries, planes, lanes, jslot)
-            rows.append(row)
-        return values, rows
-
-    def _zero_row(self, tag: str, i: int, j: int, lanes: int):
-        """A structurally zero Jacobian entry, re-zeroed every execution.
-
-        The batched solver mutates returned rows in place (``copy=False``),
-        so a persistent zero row must be scrubbed per call, not trusted.
-        """
-        slot = self._arena.slot((tag, "jzero", i, j),
-                                self._zeros_factory(lanes))
-        return self.backend.zero_into(slot)
+        planes = tensors.planes
+        backend.copy_into(tensors.inputs, points)
+        for products, powers in tensors.levels:
+            if products is not None:
+                a, b, out, a_index, b_index = products
+                backend.take_into(a, planes, a_index)
+                backend.take_into(b, planes, b_index)
+                backend.mul_into(out, a, b)
+            for exponent, base, out, base_index in powers:
+                # ndarray.__pow__ special-cases exponent 2 as np.square,
+                # whose complex product differs in the last bit from
+                # npy_cpow: keep the operator's choice.
+                backend.take_into(base, planes, base_index)
+                if exponent == 2:
+                    np.square(base, out=out)
+                else:
+                    np.power(base, exponent, out=out)
+        if len(self._program.seed):
+            backend.take_into(tensors.seed, planes, self._program.seed)
+        if tensors.zeros is not None:
+            backend.zero_into(tensors.zeros)
+        for addends, rows, indices in tensors.steps:
+            backend.take_into(addends, planes, indices)
+            backend.iadd(rows, addends)
 
 
 class EvaluationPlan(_PlanExecutor):
@@ -815,7 +1081,7 @@ class EvaluationPlan(_PlanExecutor):
             raise ConfigurationError("an evaluation plan needs a square system")
         self.system = system
         self.backend = backend or backend_for_context(context)
-        self.dimension = system.dimension
+        self.dimension = n = system.dimension
         compiler = _Compiler()
         self._schedules = compiler.compile_system(system)
         compiler.finalize()
@@ -823,26 +1089,69 @@ class EvaluationPlan(_PlanExecutor):
         self.op_counts = compiler.op_counts([self._schedules])
         self.walk_counts = walk_op_counts(system)
         self.statistics = compiler.statistics()
+        self._program, (rows,) = _lower(n, self._specs, [self._schedules],
+                                        **self._flavour(self.backend))
+        jacobian, zero_stop = _jacobian_rows(n, rows,
+                                             self._program.accumulators)
+        self._layout = _RowLayout(
+            total=zero_stop, zero_stop=zero_stop,
+            values=tuple(rows[("val", i)] for i in range(n)),
+            jacobian=jacobian)
         self._init_execution_state()
 
     def execute(self, points) -> Tuple[List, List[List]]:
         """Evaluate at an ``(n, B)`` lane batch; returns (values, jacobian).
 
-        The returned rows are plan-owned arena buffers: valid and freely
-        mutable until this plan's next ``execute`` call, which overwrites
-        them.
+        The returned rows are views of the plan's row tensor: valid and
+        freely mutable until this plan's next ``execute`` call, which
+        overwrites them.
         """
         require_lane_batch(points, self.dimension)
-        n = self.dimension
-        lanes = points.shape[1]
-        self._arena.ensure(lanes)
-        planes = self._compute_planes(points, lanes)
-        values, rows = self._run_system(self._schedules, planes, lanes, "s")
-        jacobian = [[row[j] if j in row else self._zero_row("s", i, j, lanes)
-                     for j in range(n)]
-                    for i, row in enumerate(rows)]
+        tensors = self._tensors(points.shape[1])
+        self._evaluate(points, tensors)
         self.exec_stats.executions += 1
-        return values, jacobian
+        return list(tensors.values), [list(row) for row in tensors.jacobian]
+
+
+@dataclass(frozen=True)
+class _Blend:
+    """The homotopy blend over the row tensor.
+
+    ``g`` / ``f`` gather the start rows (values, entries both systems
+    touch, start-only entries) and the target rows (values, both,
+    target-only) feeding ``h``; ``h`` is the first row of the blended
+    block, laid out values, both, start-only, target-only, with
+    ``blended`` rows (values and both) that receive both weighted
+    products; ``t`` is the first ``dh/dt`` row.
+    """
+
+    g: np.ndarray
+    f: np.ndarray
+    h: int
+    blended: int
+    g_only: int
+    f_only: int
+    t: int
+
+
+class _BlendTensors:
+    """One lane count's gather buffers and row views of the blend."""
+
+    def __init__(self, backend: ComplexBatchBackend, blend: _Blend,
+                 rows, dimension: int, lanes: int):
+        n = dimension
+        self.g = backend.zeros((len(blend.g), lanes))
+        self.f = backend.zeros((len(blend.f), lanes))
+        h, blended = blend.h, blend.h + blend.blended
+        g_stop = blended + blend.g_only
+        self.h_g = rows[h:g_stop]
+        self.h_both = rows[h:blended]
+        self.h_f = rows[g_stop:g_stop + blend.f_only] if blend.f_only else None
+        self.g_values = self.g[0:n]
+        self.f_values = self.f[0:n]
+        self.f_both = self.f[0:blend.blended]
+        self.f_only = self.f[blend.blended:] if blend.f_only else None
+        self.t = rows[blend.t:blend.t + n]
 
 
 class HomotopyPlan(_PlanExecutor):
@@ -850,8 +1159,8 @@ class HomotopyPlan(_PlanExecutor):
 
     Supports, power tables and term planes are deduplicated across *both*
     systems (a total-degree start system shares most of its monomials with
-    the target), and the blend runs entry-wise over the sparse union of the
-    two Jacobian structures with in-place weighted accumulates.
+    the target), and the blend runs over the sparse union of the two
+    Jacobian structures as stacked weighted products.
 
     ``op_counts`` / ``walk_counts`` price one batched homotopy evaluation
     (both system passes plus the blend) for the plan and the walk path.
@@ -878,6 +1187,14 @@ class HomotopyPlan(_PlanExecutor):
         self._jac_union = compiled["jac_union"]
         self.op_counts = compiled["op_counts"]
         self.walk_counts = compiled["walk_counts"]
+        flavour = self._flavour(self.backend)
+        key = ("lowered", flavour["ladder"], flavour["swap"])
+        lowered = compiled.get(key)
+        if lowered is None:
+            # Read-only like the other artifacts; a racing duplicate
+            # lowering is identical and harmless.
+            lowered = compiled[key] = self._lower_pair(flavour)
+        self._program, self._layout, self._blend = lowered
         self._init_execution_state()
 
     @staticmethod
@@ -886,12 +1203,12 @@ class HomotopyPlan(_PlanExecutor):
         """Compile the pair, reusing the family-keyed cache.
 
         The artifacts -- schedules, plane specs, Jacobian union, op counts
-        -- are deterministic in the two systems' coefficient structure and
-        are strictly read-only at execution time, so instances may share
-        them; everything mutable (arena, statistics counters)
-        lives in per-instance execution state.  This is what lets a
-        parameter-homotopy family compile its member plan once and serve
-        every subsequent query from the cache.
+        and the per-flavour lowered programs -- are deterministic in the
+        two systems' coefficient structure and are strictly read-only at
+        execution time, so instances may share them; everything mutable
+        (arena, statistics counters) lives in per-instance execution
+        state.  This is what lets a parameter-homotopy family compile its
+        member plan once and serve every subsequent query from the cache.
         """
         key = (_system_signature(start_system),
                _system_signature(target_system))
@@ -941,28 +1258,63 @@ class HomotopyPlan(_PlanExecutor):
                 _COMPILE_CACHE.popitem(last=False)
         return compiled
 
+    def _lower_pair(self, flavour: Dict[str, bool]
+                    ) -> Tuple[_Program, _RowLayout, _Blend]:
+        """Lower the pair and lay out the blend over the row tensor.
+
+        After the accumulators and the zero rows the row tensor holds the
+        blended rows ``h`` -- values, Jacobian entries both systems touch,
+        start-only, then target-only entries -- and then the ``dh/dt``
+        rows, so every stacked blend stage reads and writes contiguous
+        blocks.
+        """
+        n = self.dimension
+        program, (g_rows, f_rows) = _lower(
+            n, self._specs, [self._g_schedules, self._f_schedules], **flavour)
+        both, g_only, f_only = [], [], []
+        for i in range(n):
+            for j, has_g, has_f in self._jac_union[i]:
+                group = both if has_g and has_f else g_only if has_g else f_only
+                group.append(("jac", i, j))
+        values = [("val", i) for i in range(n)]
+        blended = values + both
+        h_keys = blended + g_only + f_only
+        h = program.accumulators + n * n - len(both + g_only + f_only)
+        h_rows = {key: h + offset for offset, key in enumerate(h_keys)}
+        jacobian, _ = _jacobian_rows(n, h_rows, program.accumulators)
+        t = h + len(h_keys)
+        layout = _RowLayout(
+            total=t + n, zero_stop=h,
+            values=tuple(h_rows[key] for key in values),
+            jacobian=jacobian,
+            t_derivative=tuple(range(t, t + n)))
+        blend = _Blend(
+            g=np.array([g_rows[key] for key in blended + g_only], np.intp),
+            f=np.array([f_rows[key] for key in blended + f_only], np.intp),
+            h=h, blended=len(blended), g_only=len(g_only),
+            f_only=len(f_only), t=t)
+        return program, layout, blend
+
+    def _bind(self, lanes: int):
+        tensors = super()._bind(lanes)
+        return tensors, _BlendTensors(self.backend, self._blend, tensors.rows,
+                                      self.dimension, lanes)
+
     def execute(self, points, t: np.ndarray) -> Tuple[List, List[List], List]:
         """Evaluate ``h``, ``dh/dx``, ``dh/dt`` at per-lane parameters ``t``.
 
         Returns ``(values, jacobian, t_derivative)`` with the same layout
         as :class:`~repro.tracking.homotopy.BatchHomotopyEvaluation`; every
-        row is a plan-owned arena buffer, valid until the next ``execute``.
+        row is a view of the plan's row tensor, valid until the next
+        ``execute``.
         """
         if self.gamma is None:
             raise ConfigurationError("this HomotopyPlan was compiled without "
                                      "a gamma; pass one at construction")
         require_lane_batch(points, self.dimension)
         backend = self.backend
-        n = self.dimension
-        lanes = points.shape[1]
-        arena = self._arena
-        factory = self._zeros_factory(lanes)
-        arena.ensure(lanes)
-        planes = self._compute_planes(points, lanes)
-        g_values, g_rows = self._run_system(self._g_schedules, planes, lanes,
-                                            "g")
-        f_values, f_rows = self._run_system(self._f_schedules, planes, lanes,
-                                            "f")
+        tensors, blend = self._tensors(points.shape[1])
+        self._evaluate(points, tensors)
 
         # One up-front embedding per execution instead of one inside every
         # blend kernel: ``embed_complex128`` is exactly the coercion the
@@ -973,36 +1325,20 @@ class HomotopyPlan(_PlanExecutor):
             self.gamma * (1.0 - t).astype(np.complex128))
         weight_f = backend.embed_complex128(t.astype(np.complex128))
 
-        # h = weight_g * g + weight_f * f, landed with one product per row
-        # into an arena row (the walk operand order) and an in-place
-        # weighted accumulate.
-        values = []
-        for i in range(n):
-            acc = backend.mul_into(arena.slot(("h", "val", i), factory),
-                                   g_values[i], weight_g)
-            values.append(backend.iadd_mul(acc, f_values[i], weight_f))
-
-        # dh/dt = f - gamma * g, in place in the target accumulators (they
-        # are no longer read after the value blend and are reseeded by the
-        # next execution).
-        t_derivative = [backend.isub_mul(f_values[i], g_values[i], self.gamma)
-                        for i in range(n)]
-
-        jacobian: List[List] = []
-        for i in range(n):
-            g_row, f_row = g_rows[i], f_rows[i]
-            entries = dict()
-            for j, has_g, has_f in self._jac_union[i]:
-                slot = arena.slot(("h", "jac", i, j), factory)
-                if has_g and has_f:
-                    acc = backend.mul_into(slot, g_row[j], weight_g)
-                    entries[j] = backend.iadd_mul(acc, f_row[j], weight_f)
-                elif has_g:
-                    entries[j] = backend.mul_into(slot, g_row[j], weight_g)
-                else:
-                    entries[j] = backend.mul_into(slot, f_row[j], weight_f)
-            jacobian.append([entries[j] if j in entries
-                             else self._zero_row("h", i, j, lanes)
-                             for j in range(n)])
+        backend.take_into(blend.g, tensors.rows, self._blend.g)
+        backend.take_into(blend.f, tensors.rows, self._blend.f)
+        # dh/dt = f - gamma * g: one stacked product, one stacked subtract.
+        backend.copy_into(blend.t, blend.f_values)
+        backend.isub_mul(blend.t, blend.g_values, self.gamma)
+        # h = weight_g * g + weight_f * f: one stacked product per weight
+        # (the walk's operand order, row first) and one stacked add where
+        # both systems contribute.  Entries one system touches skip the
+        # walk's product of a zeros row by the other weight.
+        backend.mul_into(blend.h_g, blend.g, weight_g)
+        backend.mul_into(blend.f, blend.f, weight_f)
+        backend.iadd(blend.h_both, blend.f_both)
+        if blend.f_only is not None:
+            backend.copy_into(blend.h_f, blend.f_only)
         self.exec_stats.executions += 1
-        return values, jacobian, t_derivative
+        return (list(tensors.values), [list(row) for row in tensors.jacobian],
+                list(tensors.t_derivative))

@@ -136,17 +136,22 @@ class ComplexBatchBackend:
         raise NotImplementedError
 
     # -- in-place accumulation ------------------------------------------
-    # The inner loops of the batched evaluator, linear solver and corrector
-    # rebind their accumulators (``acc = backend.iadd(acc, v)``), so these
-    # defaults -- correct for any backend -- may return a fresh array.  The
-    # built-in backends override them with true in-place updates that are
-    # bit-for-bit identical to the out-of-place expressions but free of
-    # wrapper and plane churn.  ``acc`` must be exclusively owned by the
+    # The walk evaluator and the corrector rebind their accumulators
+    # (``acc = backend.iadd(acc, v)``), so for them these defaults may
+    # return a fresh array.  The built-in backends override them with true
+    # in-place updates that are bit-for-bit identical to the out-of-place
+    # expressions but free of wrapper and plane churn -- which the compiled
+    # plans and the linear solver's rank-1 update, writing through views of
+    # their tensors, rely on.  ``acc`` must be exclusively owned by the
     # caller (never a shared or caller-visible input).
 
     def iadd(self, acc: BatchArray, value) -> BatchArray:
         """``acc + value``, overwriting ``acc`` when the backend can."""
         return acc + value
+
+    def isub(self, acc: BatchArray, value) -> BatchArray:
+        """``acc - value``, overwriting ``acc`` when the backend can."""
+        return acc - value
 
     def isub_mul(self, acc: BatchArray, factor, value) -> BatchArray:
         """``acc - factor * value``, overwriting ``acc`` when possible."""
@@ -168,13 +173,15 @@ class ComplexBatchBackend:
         return self.where(np.asarray(mask, dtype=bool), acc + value, acc)
 
     # -- into-operations (plan-arena executor) --------------------------
-    # The arena executor of :mod:`repro.core.evalplan` lands results in
-    # persistent caller-owned arrays instead of fresh allocations.  Every
-    # ``*_into`` computes exactly the floating-point sequence of the
-    # corresponding out-of-place expression, then writes ``out``'s storage;
-    # callers always use the *returned* array, so these generic defaults --
-    # which ignore ``out`` and allocate -- stay correct for third-party
-    # backends that never override them.
+    # Every ``*_into`` computes exactly the floating-point sequence of the
+    # corresponding out-of-place expression, then writes ``out``'s storage.
+    # The levelled executor of :mod:`repro.core.evalplan` writes every
+    # stage into views of its plan-owned tensors and relies on that write
+    # (and on ``iadd`` / ``isub`` / ``isub_mul`` updating ``acc`` in
+    # place), so a backend that runs compiled plans must override them, as
+    # the built-in backends do.  The generic defaults -- which ignore
+    # ``out`` and allocate -- serve only callers that use the returned
+    # array.
 
     def mul_into(self, out: BatchArray, a, b) -> BatchArray:
         """``a * b`` landed in ``out`` (same operand order as ``a * b``).
@@ -195,6 +202,11 @@ class ComplexBatchBackend:
     def zero_into(self, out: BatchArray) -> BatchArray:
         """``out`` zeroed (bit-for-bit with :meth:`zeros`)."""
         return self.zeros(out.shape)
+
+    def take_into(self, out: BatchArray, src: BatchArray,
+                  indices: np.ndarray) -> BatchArray:
+        """Rows ``src[indices]`` (a gather along the leading axis) in ``out``."""
+        return src[indices]
 
     def component_planes(self, array: BatchArray):
         """The float planes of a batch array, for exact fingerprinting.
@@ -273,6 +285,10 @@ class Complex128Backend(ComplexBatchBackend):
         np.add(acc, value, out=acc)
         return acc
 
+    def isub(self, acc: np.ndarray, value) -> np.ndarray:
+        np.subtract(acc, value, out=acc)
+        return acc
+
     def isub_mul(self, acc: np.ndarray, factor, value) -> np.ndarray:
         acc -= factor * value
         return acc
@@ -299,6 +315,12 @@ class Complex128Backend(ComplexBatchBackend):
 
     def zero_into(self, out: np.ndarray) -> np.ndarray:
         out[...] = 0.0
+        return out
+
+    def take_into(self, out: np.ndarray, src: np.ndarray,
+                  indices: np.ndarray) -> np.ndarray:
+        # mode="clip" lets take write ``out`` unbuffered (indices are valid).
+        np.take(src, indices, axis=0, out=out, mode="clip")
         return out
 
     def component_planes(self, array: np.ndarray):
@@ -371,6 +393,9 @@ class ComplexDDBackend(ComplexBatchBackend):
     def iadd(self, acc: ComplexDDArray, value) -> ComplexDDArray:
         return acc.iadd_(value)
 
+    def isub(self, acc: ComplexDDArray, value) -> ComplexDDArray:
+        return acc.isub_(value)
+
     def isub_mul(self, acc: ComplexDDArray, factor, value) -> ComplexDDArray:
         # ``acc -= factor * value`` with the product formed in stack scratch
         # instead of fresh wrapper allocations; the product's bits are
@@ -439,6 +464,13 @@ class ComplexDDBackend(ComplexBatchBackend):
     def zero_into(self, out: ComplexDDArray) -> ComplexDDArray:
         for plane in (out.real.hi, out.real.lo, out.imag.hi, out.imag.lo):
             plane[...] = 0.0
+        return out
+
+    def take_into(self, out: ComplexDDArray, src: ComplexDDArray,
+                  indices: np.ndarray) -> ComplexDDArray:
+        for dst, plane in zip(self.component_planes(out),
+                              self.component_planes(src)):
+            np.take(plane, indices, axis=0, out=dst, mode="clip")
         return out
 
     def component_planes(self, array: ComplexDDArray):
@@ -523,6 +555,9 @@ class ComplexQDBackend(ComplexBatchBackend):
     def iadd(self, acc: ComplexQDArray, value) -> ComplexQDArray:
         return acc.iadd_(value)
 
+    def isub(self, acc: ComplexQDArray, value) -> ComplexQDArray:
+        return acc.isub_(value)
+
     def isub_mul(self, acc: ComplexQDArray, factor, value) -> ComplexQDArray:
         if isinstance(factor, ComplexQDArray):
             x, y = factor, qd_mul_operand(factor, value)
@@ -588,6 +623,13 @@ class ComplexQDBackend(ComplexBatchBackend):
     def zero_into(self, out: ComplexQDArray) -> ComplexQDArray:
         for plane in out.real._components() + out.imag._components():
             plane[...] = 0.0
+        return out
+
+    def take_into(self, out: ComplexQDArray, src: ComplexQDArray,
+                  indices: np.ndarray) -> ComplexQDArray:
+        for dst, plane in zip(self.component_planes(out),
+                              self.component_planes(src)):
+            np.take(plane, indices, axis=0, out=dst, mode="clip")
         return out
 
     def component_planes(self, array: ComplexQDArray):

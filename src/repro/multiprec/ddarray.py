@@ -212,15 +212,18 @@ def dd_mul_operand(x: "ComplexDDArray", other) -> "ComplexDDArray":
 
 
 def _complex_dd_div(x: "ComplexDDArray", y: "ComplexDDArray") -> "ComplexDDArray":
-    """``x / y`` with every intermediate in pooled scratch.
+    """``x / y`` as one stacked product, one stacked division.
 
     Replays the allocating expression ``((a*c + b*d) / denom,
     (b*c - a*d) / denom)`` of :func:`repro.multiprec.reference.
-    complex_dd_div` kernel for kernel -- same products, same additions,
-    same iterated-correction divisions, so the landed bits are identical --
-    without materialising the intermediate ``DDArray`` wrappers and their
-    planes.  Operands of different shapes are broadcast up front, so the
-    kernels all run on the result shape.
+    complex_dd_div` kernel for kernel, with the independent work stacked
+    along a leading axis: the six real products ``(cc, ac, bc, dd, bd,
+    ad)`` run as one product kernel, ``denom = cc + dd`` and ``ac + bd``
+    as one add, and the two real divisions by ``denom`` as one division
+    kernel.  ``bc - ad`` stays a two_diff subtraction: a dd subtraction is
+    not bitwise the addition of the negation (the signs of zero error
+    terms can differ).  Operands of different shapes are broadcast up
+    front, so the kernels all run on the result shape.
     """
     parts = [(p.hi, p.lo) for p in (x.real, x.imag, y.real, y.imag)]
     shape = op_shape(parts[0], parts[2])
@@ -228,13 +231,26 @@ def _complex_dd_div(x: "ComplexDDArray", y: "ComplexDDArray") -> "ComplexDDArray
         parts = [tuple(np.broadcast_to(c, shape) for c in p) for p in parts]
     a, b, c, d = parts
     st = plane_stack()
-    fb, mark = st.take(shape, 8)
+    fb, mark = st.take((6,) + shape, 6)
+    sb, smark = st.take((3,) + shape, 2)
     try:
-        t1, t2 = fb[0:2], fb[2:4]
-        denom, num = fb[4:6], fb[6:8]
-        _dd_mul_planes_fused(c, c, out=t1)
-        _dd_mul_planes_fused(d, d, out=t2)
-        _dd_addsub_fused(t1, t2, two_sum_into, out=denom)
+        xs, ys, prod = fb[0:2], fb[2:4], fb[4:6]
+        for k in range(2):
+            # rows (c, a, b, d, b, a) x (c, c, c, d, d, d)
+            xs[k][0] = c[k]
+            xs[k][1] = a[k]
+            xs[k][2] = b[k]
+            xs[k][3] = d[k]
+            xs[k][4] = b[k]
+            xs[k][5] = a[k]
+            ys[k][0:3] = c[k]
+            ys[k][3:6] = d[k]
+        _dd_mul_planes_fused(xs, ys, out=prod)
+        _dd_add(tuple(p[0:2] for p in prod), tuple(p[3:5] for p in prod),
+                out=tuple(p[0:2] for p in sb))
+        _dd_sub(tuple(p[2] for p in prod), tuple(p[5] for p in prod),
+                out=tuple(p[2] for p in sb))
+        denom = tuple(p[0:1] for p in sb)
         # Mirror the scalar ComplexDD check: |z|^2 == 0 means the divisor
         # is an exact zero (or underflowed to one), which would otherwise
         # fill the lane with silent NaN.  NaN divisors propagate instead of
@@ -244,16 +260,10 @@ def _complex_dd_div(x: "ComplexDDArray", y: "ComplexDDArray") -> "ComplexDDArray
                 f"ComplexDDArray division by zero in "
                 f"{int(np.count_nonzero(denom[0] == 0.0))} element(s)"
             )
-        _dd_mul_planes_fused(a, c, out=t1)
-        _dd_mul_planes_fused(b, d, out=t2)
-        _dd_addsub_fused(t1, t2, two_sum_into, out=num)
-        real = _raw(*_dd_div_planes_fused(num, denom))
-        _dd_mul_planes_fused(b, c, out=t1)
-        _dd_mul_planes_fused(a, d, out=t2)
-        _dd_addsub_fused(t1, t2, two_diff_into, out=num)
-        imag = _raw(*_dd_div_planes_fused(num, denom))
-        return ComplexDDArray(real, imag)
+        hi, lo = _dd_div_planes_fused(tuple(p[1:3] for p in sb), denom)
+        return ComplexDDArray(_raw(hi[0], lo[0]), _raw(hi[1], lo[1]))
     finally:
+        st.release(smark)
         st.release(mark)
 
 
@@ -263,9 +273,13 @@ def complex_dd_mul(x: "ComplexDDArray", y: "ComplexDDArray",
 
     The one body of ``ComplexDDArray.__mul__`` and of the backend's
     in-place product forms; bit-for-bit with the composition
-    ``(a*c - b*d, a*d + b*c)`` in :mod:`repro.multiprec.reference`.  All
-    four real products land in scratch *before* the first write to
-    ``out``'s planes, so ``out`` may alias either operand.
+    ``(a*c - b*d, a*d + b*c)`` in :mod:`repro.multiprec.reference`.  The
+    four real products run as one product kernel over ``(4,) + shape``
+    with operands ``(a, a, b, b) x (c, d, d, c)`` stacked in scratch; the
+    combine is one two_diff subtraction and one add.  Operands are copied
+    into scratch before the first write to ``out``, so ``out`` may alias
+    either operand; any operand shape broadcasting against the other
+    works, so a ``(K, B)`` stack times a ``(B,)`` weight row is one call.
     """
     a = (x.real.hi, x.real.lo)
     b = (x.imag.hi, x.imag.lo)
@@ -275,18 +289,19 @@ def complex_dd_mul(x: "ComplexDDArray", y: "ComplexDDArray",
     shape = op_shape(a, c)
     if out is None:
         out = complex_dd_from_planes(result_planes(shape, None, 4))
-    fb, mark = st.take(shape, 8)
+    fb, mark = st.take((4,) + shape, 6)
     try:
-        ac = fb[0:2]
-        bd = fb[2:4]
-        ad = fb[4:6]
-        bc = fb[6:8]
-        _dd_mul_planes_fused(a, c, out=ac)
-        _dd_mul_planes_fused(b, d, out=bd)
-        _dd_mul_planes_fused(a, d, out=ad)
-        _dd_mul_planes_fused(b, c, out=bc)
-        _dd_sub(ac, bd, out=(out.real.hi, out.real.lo))
-        _dd_add(ad, bc, out=(out.imag.hi, out.imag.lo))
+        xs, ys, prod = fb[0:2], fb[2:4], fb[4:6]
+        for k in range(2):
+            xs[k][0:2] = a[k]
+            xs[k][2:4] = b[k]
+            ys[k][0] = c[k]
+            ys[k][1:3] = d[k]
+            ys[k][3] = c[k]
+        _dd_mul_planes_fused(xs, ys, out=prod)           # (ac, ad, bd, bc)
+        hi, lo = prod
+        _dd_sub((hi[0], lo[0]), (hi[2], lo[2]), out=(out.real.hi, out.real.lo))
+        _dd_add((hi[1], lo[1]), (hi[3], lo[3]), out=(out.imag.hi, out.imag.lo))
         return out
     finally:
         st.release(mark)

@@ -1033,15 +1033,19 @@ def qd_mul_operand(x: ComplexQDArray, other) -> ComplexQDArray:
 
 
 def _complex_qd_div(x: ComplexQDArray, y: ComplexQDArray) -> ComplexQDArray:
-    """``x / y`` with every intermediate in pooled scratch.
+    """``x / y`` as one stacked product, one stacked add, one division.
 
     Replays the allocating expression ``((a*c + b*d) / denom,
     (b*c - a*d) / denom)`` of :func:`repro.multiprec.reference.
-    complex_qd_div` kernel for kernel -- same products, same additions,
-    same iterated-correction divisions, so the landed bits are identical --
-    without materialising the intermediate ``QDArray`` wrappers and their
-    planes.  Operands of different shapes are broadcast up front: the
-    renormalisation kernels need every plane at the result shape.
+    complex_qd_div` kernel for kernel, but stacks the independent work
+    along a leading axis: the six real products ``(cc, ac, bc, dd, bd,
+    ad)`` run as one product kernel, the three sums ``denom = cc + dd``,
+    ``ac + bd`` and ``bc + (-ad)`` (subtraction *is* addition of the
+    negation) as one add kernel, and the two real divisions by ``denom``
+    as one division kernel.  The kernels are element-wise, so every
+    landed bit is the unstacked chain's.  Operands of different shapes are
+    broadcast up front: the renormalisation kernels need every plane at
+    the result shape.
     """
     parts = [p._components() for p in (x.real, x.imag, y.real, y.imag)]
     shape = op_shape(parts[0], parts[2])
@@ -1049,29 +1053,37 @@ def _complex_qd_div(x: ComplexQDArray, y: ComplexQDArray) -> ComplexQDArray:
         parts = [tuple(np.broadcast_to(c, shape) for c in p) for p in parts]
     a, b, c, d = parts
     st = plane_stack()
-    fb, mark = st.take(shape, 16)
+    fb, mark = st.take((6,) + shape, 12)
+    sb, smark = st.take((3,) + shape, 4)
     try:
-        t1, t2 = fb[0:4], fb[4:8]
-        denom, num = fb[8:12], fb[12:16]
-        _mul_planes_fused(c, c, out=t1)
-        _mul_planes_fused(d, d, out=t2)
-        _add_planes_fused(t1, t2, out=denom)
+        xs, ys, prod = fb[0:4], fb[4:8], fb[8:12]
+        for k in range(4):
+            # rows (c, a, b, d, b, a) x (c, c, c, d, d, d)
+            xs[k][0] = c[k]
+            xs[k][1] = a[k]
+            xs[k][2] = b[k]
+            xs[k][3] = d[k]
+            xs[k][4] = b[k]
+            xs[k][5] = a[k]
+            ys[k][0:3] = c[k]
+            ys[k][3:6] = d[k]
+        _mul_planes_fused(xs, ys, out=prod)
+        for plane in prod:
+            np.negative(plane[5], out=plane[5])          # -ad
+        _add_planes_fused(tuple(p[0:3] for p in prod),
+                          tuple(p[3:6] for p in prod), out=sb)
+        denom = tuple(p[0:1] for p in sb)
         # Mirror the scalar ComplexQD check; see the ComplexDDArray division.
         if np.any(denom[0] == 0.0):
             raise DivisionByZeroError(
                 f"ComplexQDArray division by zero in "
                 f"{int(np.count_nonzero(denom[0] == 0.0))} element(s)"
             )
-        _mul_planes_fused(a, c, out=t1)
-        _mul_planes_fused(b, d, out=t2)
-        _add_planes_fused(t1, t2, out=num)
-        real = _raw(*_div_planes_fused(num, denom))
-        _mul_planes_fused(b, c, out=t1)
-        _mul_planes_fused(a, d, out=t2)
-        _sub_planes_fused(t1, t2, out=num)
-        imag = _raw(*_div_planes_fused(num, denom))
-        return ComplexQDArray(real, imag)
+        quotient = _div_planes_fused(tuple(p[1:3] for p in sb), denom)
+        return ComplexQDArray(_raw(*(q[0] for q in quotient)),
+                              _raw(*(q[1] for q in quotient)))
     finally:
+        st.release(smark)
         st.release(mark)
 
 
@@ -1081,9 +1093,15 @@ def complex_qd_mul(x: ComplexQDArray, y: ComplexQDArray,
 
     The one body of ``ComplexQDArray.__mul__`` and of the backend's
     in-place product forms; bit-for-bit with the composition
-    ``(a*c - b*d, a*d + b*c)`` in :mod:`repro.multiprec.reference`.  All
-    four real products land in scratch *before* the first write to
-    ``out``'s planes, so ``out`` may alias either operand.
+    ``(a*c - b*d, a*d + b*c)`` in :mod:`repro.multiprec.reference`.  The
+    four real products run as one product kernel over ``(4,) + shape``
+    with operands ``(a, a, b, b) x (c, d, d, c)`` stacked in scratch, and
+    the real/imaginary combine as one add kernel of ``(ac, ad)`` and
+    ``(-bd, bc)`` (subtraction is addition of the negation).  Operands
+    are copied into scratch before the first write to ``out``, so ``out``
+    may alias either operand; any operand shape broadcasting against the
+    other works, so a ``(K, B)`` stack times a ``(B,)`` weight row is one
+    call.
     """
     a = x.real._components()
     b = x.imag._components()
@@ -1093,18 +1111,26 @@ def complex_qd_mul(x: ComplexQDArray, y: ComplexQDArray,
     shape = op_shape(a, c)
     if out is None:
         out = complex_qd_from_planes(result_planes(shape, None, 8))
-    fb, mark = st.take(shape, 16)
+    fb, mark = st.take((4,) + shape, 12)
+    sb, smark = st.take((2,) + shape, 4)
     try:
-        ac = fb[0:4]
-        bd = fb[4:8]
-        ad = fb[8:12]
-        bc = fb[12:16]
-        _mul_planes_fused(a, c, out=ac)
-        _mul_planes_fused(b, d, out=bd)
-        _mul_planes_fused(a, d, out=ad)
-        _mul_planes_fused(b, c, out=bc)
-        _sub_planes_fused(ac, bd, out=out.real._components())
-        _add_planes_fused(ad, bc, out=out.imag._components())
+        xs, ys, prod = fb[0:4], fb[4:8], fb[8:12]
+        for k in range(4):
+            xs[k][0:2] = a[k]
+            xs[k][2:4] = b[k]
+            ys[k][0] = c[k]
+            ys[k][1:3] = d[k]
+            ys[k][3] = c[k]
+        _mul_planes_fused(xs, ys, out=prod)              # (ac, ad, bd, bc)
+        for plane in prod:
+            np.negative(plane[2], out=plane[2])          # -bd
+        _add_planes_fused(tuple(p[0:2] for p in prod),
+                          tuple(p[2:4] for p in prod), out=sb)
+        for dst, src in zip(out.real._components(), sb):
+            np.copyto(dst, src[0])
+        for dst, src in zip(out.imag._components(), sb):
+            np.copyto(dst, src[1])
         return out
     finally:
+        st.release(smark)
         st.release(mark)

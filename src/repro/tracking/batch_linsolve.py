@@ -2,18 +2,25 @@
 
 Newton's corrector inside the batched tracker must solve ``J_b dx_b = -f_b``
 for every path ``b`` of the batch, where every lane has its *own* Jacobian.
-The batch stores the ``B`` matrices entry-wise: ``matrix[i][j]`` is a ``(B,)``
-batch array holding entry ``(i, j)`` of all lanes at once (the structure of
-arrays the simulated device would hold in global memory).
+The caller hands the ``B`` matrices over entry-wise: ``matrix[i][j]`` is a
+``(B,)`` batch array holding entry ``(i, j)`` of all lanes at once (the
+structure of arrays the simulated device would hold in global memory).  The
+solver stacks them with the right-hand side into one augmented ``(n, n+1,
+B)`` tensor ``[A | b]`` and eliminates on whole slices of it:
 
-The algorithm is Gaussian elimination with per-lane partial pivoting:
-
-* pivot *selection* works on double-rounded magnitudes, exactly like the
-  scalar solver in :mod:`repro.tracking.linsolve` -- a control decision that
-  may differ per lane;
-* the per-lane row swaps are realised as masked selects
-  (:meth:`~repro.multiprec.backend.ComplexBatchBackend.where`), so no data is
-  gathered or scattered between lanes;
+* pivot *selection* works on double-rounded magnitudes of the column slice
+  (one magnitude call per column), exactly like the scalar solver in
+  :mod:`repro.tracking.linsolve` -- a control decision that may differ per
+  lane;
+* the per-lane row swaps are realised as row selects on whole rows of the
+  augmented tensor (each lane takes its pivot row), so no arithmetic
+  touches the data and no data moves between lanes;
+* each column costs one stacked division for all its elimination factors
+  and one stacked rank-1 update of the trailing block, and back
+  substitution one stacked product per row followed by its subtractions in
+  ascending column order -- the element-wise kernels see every lane and
+  entry exactly as the entry-by-entry elimination would, so the solution is
+  bit-for-bit the same;
 * lanes whose pivot is zero *or too tiny to divide by* (``|pivot|^2``
   underflows, which is exactly when the complex double-double division
   would raise :class:`~repro.errors.DivisionByZeroError`) are flagged
@@ -29,7 +36,7 @@ test, while the healthy lanes are unaffected.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,15 +48,14 @@ __all__ = ["batched_solve"]
 def batched_solve(matrix: Sequence[Sequence], rhs: Sequence,
                   backend: ComplexBatchBackend,
                   active: Optional[np.ndarray] = None,
-                  copy: bool = True
-                  ) -> Tuple[List, np.ndarray]:
+                  copy: bool = True) -> Tuple[object, np.ndarray]:
     """Solve ``A_b x_b = rhs_b`` for every lane ``b``.
 
     Parameters
     ----------
     matrix:
-        ``n x n`` nested sequence of ``(B,)`` batch arrays (consumed, not
-        modified: the function works on a copy unless ``copy=False``).
+        ``n x n`` nested sequence of ``(B,)`` batch arrays (read, never
+        modified: the solver eliminates on its own stacked copy).
     rhs:
         Length-``n`` sequence of ``(B,)`` batch arrays.
     backend:
@@ -58,33 +64,29 @@ def batched_solve(matrix: Sequence[Sequence], rhs: Sequence,
         Optional ``(B,)`` bool mask; inactive lanes are never reported
         singular and their (meaningless) results should be discarded.
     copy:
-        The elimination updates rows in place through the backend
-        (:meth:`~repro.multiprec.backend.ComplexBatchBackend.isub_mul`), so
-        by default every entry is deep-copied up front.  Callers that pass
-        freshly built, never-reused matrices (the batched corrector and the
-        tangent predictor) set ``copy=False`` and donate their entries.
+        Ignored: the stacked tensor is always the solver's own copy.
+        Accepted so existing call sites that still pass it keep working.
 
     Returns
     -------
     (solution, singular):
-        ``solution`` is a length-``n`` list of ``(B,)`` batch arrays;
-        ``singular`` a ``(B,)`` bool mask of lanes that met a zero pivot.
+        ``solution`` is one ``(n, B)`` batch array (row ``i`` holds
+        unknown ``i`` of every lane); ``singular`` a ``(B,)`` bool mask of
+        lanes that met a zero pivot.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("batched_solve expects a square matrix and matching rhs")
+    if n == 0:
+        return backend.zeros((0, 0)), np.zeros(0, dtype=bool)
 
     # Dead lanes legitimately carry inf/NaN through the arithmetic, so the
     # whole solve runs inside the masked-lane errstate scope instead of
     # spraying RuntimeWarnings.
     with masked_lane_errstate():
-        if copy:
-            a = [[backend.copy(entry) for entry in row] for row in matrix]
-            b = [backend.copy(entry) for entry in rhs]
-        else:
-            a = [list(row) for row in matrix]
-            b = list(rhs)
-        lanes = np.shape(backend.magnitude(b[0]))[0] if n else 0
+        aug = backend.stack([backend.stack(list(row) + [b])
+                             for row, b in zip(matrix, rhs)])
+        lanes = aug.shape[-1]
         singular = np.zeros(lanes, dtype=bool)
         considered = np.ones(lanes, dtype=bool) if active is None \
             else np.asarray(active, dtype=bool)
@@ -92,45 +94,48 @@ def batched_solve(matrix: Sequence[Sequence], rhs: Sequence,
 
         for col in range(n):
             # Per-lane partial pivoting on double-rounded magnitudes.
-            magnitudes = np.stack([backend.magnitude(a[r][col]) for r in range(col, n)])
-            choice = np.argmax(magnitudes, axis=0)  # (B,) offset of the pivot row
+            choice = np.argmax(backend.magnitude(aug[col:, col]), axis=0)
+            if choice.any():
+                _select_pivot_rows(backend, aug, col, col + choice)
 
-            # Realise the per-lane swap of rows `col` and `col + choice` as one
-            # masked select per candidate row: each lane is touched exactly once.
-            for r in range(col + 1, n):
-                swap = choice == (r - col)
-                if not swap.any():
-                    continue
-                for j in range(n):
-                    upper, lower = a[col][j], a[r][j]
-                    a[col][j] = backend.where(swap, lower, upper)
-                    a[r][j] = backend.where(swap, upper, lower)
-                upper, lower = b[col], b[r]
-                b[col] = backend.where(swap, lower, upper)
-                b[r] = backend.where(swap, upper, lower)
-
-            pivot = a[col][col]
+            pivot = aug[col, col]
             dead = _undividable(backend.magnitude(pivot))
             singular |= dead & considered
-            safe_pivot = backend.where(dead, ones, pivot)
-
-            for row in range(col + 1, n):
-                factor = a[row][col] / safe_pivot
-                for j in range(col + 1, n):
-                    a[row][j] = backend.isub_mul(a[row][j], factor, a[col][j])
-                b[row] = backend.isub_mul(b[row], factor, b[col])
+            if col + 1 < n:
+                factors = aug[col + 1:, col] / backend.where(dead, ones, pivot)
+                # The rank-1 trailing update, right-hand side included.
+                backend.isub_mul(aug[col + 1:, col + 1:], factors[:, None],
+                                 aug[col:col + 1, col + 1:])
 
         # Back substitution with the (sanitised) upper factor.
-        x: List = [None] * n
+        x = backend.zeros((n, lanes))
         for i in reversed(range(n)):
-            acc = b[i]
-            for j in range(i + 1, n):
-                acc = backend.isub_mul(acc, a[i][j], x[j])
-            diagonal = a[i][i]
+            acc = aug[i, n]
+            if i + 1 < n:
+                products = aug[i, i + 1:n] * x[i + 1:]
+                for j in range(n - i - 1):
+                    acc = backend.isub(acc, products[j])
+            diagonal = aug[i, i]
             dead = _undividable(backend.magnitude(diagonal))
             singular |= dead & considered
-            x[i] = acc / backend.where(dead, ones, diagonal)
+            backend.copy_into(x[i], acc / backend.where(dead, ones, diagonal))
     return x, singular
+
+
+def _select_pivot_rows(backend: ComplexBatchBackend, aug, col: int,
+                       pivot_rows: np.ndarray) -> None:
+    """Swap row ``col`` with row ``pivot_rows[b]`` in every lane ``b``.
+
+    Pure data movement on the component planes: each lane's pivot row is
+    gathered whole, the old row ``col`` is written to where the pivot came
+    from (a no-op for lanes that keep their pivot), then the pivots land in
+    row ``col``.
+    """
+    lanes = np.arange(aug.shape[-1])
+    for plane in backend.component_planes(aug):
+        pivots = plane[pivot_rows, :, lanes]           # (B, n + 1)
+        plane[pivot_rows, :, lanes] = plane[col].T
+        plane[col] = pivots.T
 
 
 def _undividable(magnitudes: np.ndarray) -> np.ndarray:

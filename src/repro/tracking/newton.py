@@ -257,19 +257,17 @@ class BatchNewtonCorrector:
                     continue
 
                 rhs = [-value for value in evaluation.values]
-                # The evaluation is rebuilt from scratch next iteration, so
-                # the solver may consume (mutate) its Jacobian and our rhs.
                 dx, singular = batched_solve(evaluation.jacobian, rhs, backend,
-                                             active=~done, copy=False)
+                                             active=~done)
                 failed = singular & ~done
                 residuals[idx[failed]] = np.inf
                 working[idx[failed]] = False
 
                 advance = ~done & ~singular
-                update_norms = self._residuals(dx)
+                update_norms = np.max(backend.magnitude(dx), axis=0)
                 # x_live is a fresh gather of the live lanes, so the masked
                 # Newton update may fold into it in place.
-                x_live = backend.iadd_masked(x_live, backend.stack(dx), advance)
+                x_live = backend.iadd_masked(x_live, dx, advance)
                 x[:, idx] = x_live
 
                 # The scalar small-update exit, lane-wise and in this

@@ -140,11 +140,8 @@ class BatchTangentPredictor:
             self.evaluation_log.append(int(points.shape[-1]))
         evaluation = batch_homotopy.evaluate_batch(points, t)
         rhs = [-v for v in evaluation.t_derivative]
-        # The evaluation is local to this prediction, so the solver may
-        # consume (mutate) its Jacobian and our negated derivative rows.
-        tangent, singular = batched_solve(evaluation.jacobian, rhs, backend,
-                                          copy=False)
-        step = backend.stack(tangent) * dt.astype(np.complex128)
+        tangent, singular = batched_solve(evaluation.jacobian, rhs, backend)
+        step = tangent * dt.astype(np.complex128)
         predicted = points + step
         if singular.any():
             predicted = backend.where(singular, points, predicted)

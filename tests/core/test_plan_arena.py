@@ -191,20 +191,22 @@ class TestLifecycle:
             plan.execute(points)  # size the arena
             boom = RuntimeError("injected mid-plan failure")
             calls = {"n": 0}
-            original = backend.iadd_mul
+            original = backend.mul_into
 
-            def failing_iadd_mul(acc, a, b):
+            def failing_mul_into(out, a, b):
+                # The second stacked product: one level has landed, the
+                # next fails part-way through the plane graph.
                 calls["n"] += 1
                 if calls["n"] == 2:
                     raise boom
-                return original(acc, a, b)
+                return original(out, a, b)
 
-            backend.iadd_mul = failing_iadd_mul
+            backend.mul_into = failing_mul_into
             try:
                 with pytest.raises(RuntimeError, match="injected"):
                     plan.execute(points)
             finally:
-                backend.iadd_mul = original
+                del backend.mul_into
             # No leaked scratch takes, no poisoned slots: the next
             # execution fully overwrites and matches the walk.
             assert plane_stack().depth() == 0

@@ -234,6 +234,86 @@ class TestFusedMatchesReference:
 
 
 # ----------------------------------------------------------------------
+# the stacked complex kernels: one kernel call per (K, B) stack
+# ----------------------------------------------------------------------
+COMPLEX_KINDS = {
+    "qd": (ComplexQDArray, reference.complex_qd_mul, reference.complex_qd_div),
+    "dd": (ComplexDDArray, reference.complex_dd_mul, reference.complex_dd_div),
+}
+
+
+def complex_planes(array):
+    return (array.real._components() + array.imag._components()
+            if isinstance(array, ComplexQDArray)
+            else (array.real.hi, array.real.lo, array.imag.hi, array.imag.lo))
+
+
+def assert_complex_identical(got, expected) -> None:
+    """Bit-for-bit, signed zeros included; NaNs in the same elements."""
+    for g, e in zip(complex_planes(got), complex_planes(expected)):
+        g, e = np.asarray(g), np.asarray(e)
+        nan = np.isnan(g)
+        assert np.array_equal(nan, np.isnan(e))
+        assert np.array_equal(g[~nan].view(np.uint64), e[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", sorted(COMPLEX_KINDS))
+class TestStackedComplexKernels:
+    #: (x, y) operand shapes: full stacks and a (K, 1) broadcast operand.
+    SHAPES = [((6, 5), (6, 5)), ((6, 5), (6, 1)), ((6, 1), (6, 5)),
+              ((6, 5), (5,))]
+
+    @pytest.mark.parametrize("shapes", SHAPES, ids=str)
+    def test_mul_and_div_match_reference(self, kind, shapes):
+        array, ref_mul, ref_div = COMPLEX_KINDS[kind]
+        x = random_complex(array, shapes[0], 50)
+        y = random_complex(array, shapes[1], 51)
+        assert_complex_identical(x * y, ref_mul(x, y))
+        assert_complex_identical(x / y, ref_div(x, y))
+
+    def test_rows_match_their_unstacked_ops(self, kind):
+        # One row past the split threshold and one NaN row: the whole stack
+        # takes the reference split, and every row still lands the bits the
+        # row would get on its own (where it takes the fused split).
+        array, ref_mul, ref_div = COMPLEX_KINDS[kind]
+        x = random_complex(array, (6, 5), 52)
+        y = random_complex(array, (6, 5), 53)
+        big = np.zeros((6, 5))
+        big[1, 2] = SPLIT_THRESHOLD * 4.0
+        x.real.iadd_(array.from_complex128(big).real)
+        nan = np.zeros((6, 5))
+        nan[4] = np.nan
+        with np.errstate(all="ignore"):
+            y.imag.iadd_(array.from_complex128(nan).real)
+            product, quotient = x * y, x / y
+            assert_complex_identical(product, ref_mul(x, y))
+            assert_complex_identical(quotient, ref_div(x, y))
+            for row in range(6):
+                assert_complex_identical(product[row], x[row] * y[row])
+                assert_complex_identical(quotient[row], x[row] / y[row])
+
+    def test_mul_into_aliased_operand(self, kind):
+        array, ref_mul, _ = COMPLEX_KINDS[kind]
+        x = random_complex(array, (4, 3), 54)
+        y = random_complex(array, (3,), 55)
+        expected = ref_mul(x, y)
+        backend = COMPLEX_QD_BACKEND if kind == "qd" else COMPLEX_DD_BACKEND
+        assert backend.mul_into(x, x, y) is x
+        assert_complex_identical(x, expected)
+
+    def test_stacked_zero_divisor_raises_and_releases(self, kind):
+        array = COMPLEX_KINDS[kind][0]
+        x = random_complex(array, (6, 5), 56)
+        divisor = np.ones((6, 5), dtype=complex)
+        divisor[3, 1] = 0.0
+        stack = plane_stack()
+        before = stack.depth()
+        with pytest.raises(DivisionByZeroError):
+            x / array.from_complex128(divisor)
+        assert stack.depth() == before
+
+
+# ----------------------------------------------------------------------
 # the renormalisation guard: inf and NaN lanes in the same batch
 # ----------------------------------------------------------------------
 class TestRenormNonFiniteGuard:
