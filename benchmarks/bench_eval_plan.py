@@ -8,10 +8,11 @@ This benchmark reports
 * multiprecision operation counts per batched homotopy evaluation, walk vs
   plan, on the 16-path escalation workload (computed from the compiled
   schedule; the acceptance floor is a >= 1.5x multiplication reduction);
-* wall-clock ``evaluate_batch`` throughput, plan vs walk, at d/dd/qd across
-  batch sizes (both paths are bit-for-bit identical, so the ratio is pure
-  schedule cost);
-* end-to-end qd ``BatchTracker`` wall seconds with plans on and off;
+* wall-clock ``evaluate_batch`` throughput, plan vs the reference walk, at
+  d/dd/qd across batch sizes (both are bit-for-bit identical, so the ratio
+  is pure schedule cost);
+* end-to-end qd ``BatchTracker`` wall seconds with the homotopy evaluated
+  by its plan and by the reference walk (best of interleaved repetitions);
 * steady-state numpy allocations per batched evaluation, walk vs the
   plan's arena executor.
 
@@ -66,7 +67,7 @@ if __name__ == "__main__":
     print(format_table([r.as_dict() for r in eval_rows],
                        title="plan vs walk evaluate_batch throughput"))
     print(format_table([r.as_dict() for r in tracker_rows],
-                       title="qd BatchTracker wall, plans on/off (dim 3)"))
+                       title="qd BatchTracker wall, plan vs walk (dim 3)"))
     print("allocations per batched evaluation: " +
           ", ".join(f"{mode}={count:.0f}"
                     for mode, count in allocations.items()))

@@ -11,38 +11,38 @@ Four measurements back the evaluation-plan work (see
    from the compiled schedule at compile time.  This is the source of the
    ">= 1.5x fewer multiplications" acceptance number.
 2. **Evaluation throughput** (:func:`run_eval_plan_bench`): wall-clock
-   ``BatchHomotopy.evaluate_batch`` runs, plan vs walk (toggled via
-   :func:`~repro.core.evalplan.use_eval_plans`), per rung (d/dd/qd) and
-   batch size.  Both paths produce bit-for-bit identical value rows, so
-   the ratio is pure schedule cost.
+   ``BatchHomotopy.evaluate_batch`` runs against the reference walk
+   :func:`~repro.core.reference.walk_homotopy`, per rung (d/dd/qd) and
+   batch size.  Both produce bit-for-bit identical value rows, so the
+   ratio is pure schedule cost.
 3. **End-to-end tracker wall** (:func:`run_plan_tracker_bench`): the qd
    :class:`~repro.tracking.batch_tracker.BatchTracker` tracks the cyclic
-   quadratic workload with plans on and off, reporting wall seconds and
-   paths/sec both ways.
+   quadratic workload with its homotopy evaluating through the plan and
+   through the walk, reporting wall seconds and paths/sec both ways.
 4. **Allocations per evaluation** (:func:`run_allocation_bench`): NumPy
    constructor-family calls (``np.empty`` / ``zeros`` / ``ones`` /
    ``full`` and their ``_like`` variants) per ``evaluate_batch``, for the
    walk and for the plan, whose rows live in its persistent arena.
 
-Timings take the best of several repetitions, so the JSON report
-(``BENCH_eval_plan.json``) is stable enough for the regression assertions
-in ``tests/bench``.
+Timings take the best of several repetitions, the two arms interleaved,
+so the JSON report (``BENCH_eval_plan.json``) is stable enough for the
+regression assertions in ``tests/bench``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.evalplan import use_eval_plans
-from ..core.opcounts import sharing_report
+from ..core.evalplan import EvaluationPlan, HomotopyPlan
+from ..core.reference import homotopy_walk_op_counts, walk_homotopy, walk_op_counts
 from ..multiprec.backend import backend_for_context
 from ..multiprec.numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE, NumericContext
+from ..polynomials.system import PolynomialSystem
 from ..tracking.batch_tracker import BatchTracker
-from ..tracking.homotopy import BatchHomotopy
+from ..tracking.homotopy import BatchHomotopy, BatchHomotopyEvaluation
 from ..tracking.start_systems import start_solutions, total_degree_start_system
 from .batch_tracking import cyclic_quadratic_system
 from .qd_arith import _best_interleaved
@@ -56,9 +56,12 @@ __all__ = [
     "run_eval_plan_bench",
     "run_plan_tracker_bench",
     "run_scenario_eval_plan_bench",
+    "sharing_report",
 ]
 
 DEFAULT_CONTEXTS = (DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE)
+# Interleaved repetitions of the end-to-end tracker A/B; each keeps its best.
+_TRACKER_REPEATS = 3
 
 
 @dataclass
@@ -88,11 +91,11 @@ class EvalPlanRow:
 
 @dataclass
 class PlanTrackerRow:
-    """End-to-end tracker wall, one toggle state."""
+    """End-to-end tracker wall, homotopy evaluated by the plan or the walk."""
 
     context: str
     batch_size: int
-    use_plans: bool
+    plans: bool
     paths_tracked: int
     paths_converged: int
     wall_seconds: float
@@ -106,7 +109,7 @@ class PlanTrackerRow:
         return {
             "context": self.context,
             "batch": self.batch_size,
-            "plans": self.use_plans,
+            "plans": self.plans,
             "paths": self.paths_tracked,
             "converged": self.paths_converged,
             "wall_s": self.wall_seconds,
@@ -127,12 +130,46 @@ def _lane_points(backend, dimension: int, lanes: int, seed: int = 11):
     return backend.from_points(points)
 
 
+def sharing_report(target: PolynomialSystem,
+                   start: Optional[PolynomialSystem] = None) -> Dict[str, object]:
+    """Ops saved by the compiled evaluation plan's sharing, per evaluation.
+
+    Compiles ``target`` into an :class:`~repro.core.evalplan.EvaluationPlan`
+    (or, when ``start`` is given, the pair into a
+    :class:`~repro.core.evalplan.HomotopyPlan`) and compares the compiled
+    schedule's operation count against the reference walk's
+    (:mod:`repro.core.reference`).  Counts are batch-array operations per
+    evaluation in multiprecision units (a ``**e`` counts as its dd/qd
+    binary multiply chain); see :class:`~repro.core.evalplan.PlanOpCounts`.
+    This is what generates the numbers quoted in ``docs/eval_plans.md`` and
+    the op-count section of ``BENCH_eval_plan.json`` -- measured from the
+    compiled schedule, not hand-written.
+    """
+    if start is None:
+        plan = EvaluationPlan(target)
+        walk = walk_op_counts(target)
+    else:
+        plan = HomotopyPlan(start, target)
+        walk = homotopy_walk_op_counts(start, target)
+    compiled = plan.op_counts
+    return {
+        "walk": walk.as_dict(),
+        "plan": compiled.as_dict(),
+        "multiplications_saved": walk.multiplications - compiled.multiplications,
+        "additions_saved": walk.additions - compiled.additions,
+        "multiplication_saving_factor": (
+            walk.multiplications / compiled.multiplications
+            if compiled.multiplications else float("inf")),
+        "sharing": dict(plan.statistics),
+    }
+
+
 def op_count_report(dimension: int = 4) -> Dict[str, object]:
     """Walk-vs-plan operation counts of the escalation workload's homotopy.
 
     Per batched homotopy evaluation, in multiprecision units (see
-    :func:`repro.core.opcounts.sharing_report`); the dimension-4 default is
-    the 16-path escalation workload of ``BENCH_escalation.json``.
+    :func:`sharing_report`); the dimension-4 default is the 16-path
+    escalation workload of ``BENCH_escalation.json``.
     """
     start, target = _escalation_pair(dimension)
     report = sharing_report(target, start)
@@ -143,19 +180,27 @@ def op_count_report(dimension: int = 4) -> Dict[str, object]:
     return report
 
 
-def _with_plans(enabled: bool, op: Callable[[], object]) -> Callable[[], object]:
-    """``op`` run with the compiled plans switched on (or off)."""
-    def run():
-        with use_eval_plans(enabled):
-            return op()
-    return run
+def _walk(homotopy: BatchHomotopy, points, t) -> BatchHomotopyEvaluation:
+    """``homotopy`` evaluated by the reference walk instead of its plan."""
+    values, jacobian, t_derivative = walk_homotopy(
+        homotopy.start_system, homotopy.target_system, points, t,
+        homotopy.gamma, homotopy.backend)
+    return BatchHomotopyEvaluation(values=values, jacobian=jacobian,
+                                   t_derivative=t_derivative)
+
+
+class _WalkBatchHomotopy(BatchHomotopy):
+    """A :class:`BatchHomotopy` whose evaluations run the reference walk:
+    the baseline arm of the end-to-end tracker comparison."""
+
+    evaluate_batch = _walk
 
 
 def run_eval_plan_bench(batch_sizes: Sequence[int] = (16, 64),
                         contexts: Sequence[NumericContext] = DEFAULT_CONTEXTS,
                         dimension: int = 4,
                         repeats: int = 5) -> List[EvalPlanRow]:
-    """Time ``BatchHomotopy.evaluate_batch`` plan vs walk, per rung."""
+    """Time ``BatchHomotopy.evaluate_batch`` against the walk, per rung."""
     start, target = _escalation_pair(dimension)
     rows: List[EvalPlanRow] = []
     rng = np.random.default_rng(3)
@@ -167,10 +212,10 @@ def run_eval_plan_bench(batch_sizes: Sequence[int] = (16, 64),
             batch = int(batch)
             points = _lane_points(backend, dimension, batch)
             t = rng.uniform(0.1, 0.9, size=batch)
-            op = lambda: homotopy.evaluate_batch(points, t)  # noqa: E731
             inner = max(2, min(20, 2000 // batch))
             plan_seconds, walk_seconds = _best_interleaved(
-                _with_plans(True, op), _with_plans(False, op), repeats, inner)
+                lambda: homotopy.evaluate_batch(points, t),
+                lambda: _walk(homotopy, points, t), repeats, inner)
             rows.append(EvalPlanRow(
                 context=context.name,
                 batch=batch,
@@ -186,34 +231,40 @@ def run_plan_tracker_bench(context: NumericContext = QUAD_DOUBLE,
                            dimension: int = 3,
                            batch_size: Optional[int] = None
                            ) -> List[PlanTrackerRow]:
-    """Track the cyclic quadratic workload end to end, plans on and off.
+    """Track the cyclic quadratic workload end to end, plan vs walk.
 
-    The qd default is the rung where the multiprecision-op savings are the
+    Each of ``_TRACKER_REPEATS`` repetitions tracks every path with a fresh
+    tracker, once with the homotopy evaluating through its compiled plan
+    and once through the reference walk; the arms alternate and each keeps
+    its best wall.  The
+    qd default is the rung where the multiprecision-op savings are the
     most expensive to ignore; the checked-in ``BENCH_eval_plan.json``
     records the plan-vs-walk wall ratio from these rows.
     """
     target = cyclic_quadratic_system(dimension)
     start = total_degree_start_system(target)
     starts = list(start_solutions(target))
-    rows: List[PlanTrackerRow] = []
-    for use_plans in (True, False):
-        with use_eval_plans(use_plans):
+    converged: Dict[bool, int] = {}
+
+    def track(plans: bool) -> Callable[[], None]:
+        def run():
             tracker = BatchTracker(start, target, context=context,
                                    batch_size=batch_size)
-            if use_plans:
-                tracker.homotopy.plan  # compile outside the timed region
-            began = time.perf_counter()
-            outcome = tracker.track_batches(starts)
-            wall = time.perf_counter() - began
-        rows.append(PlanTrackerRow(
-            context=context.name,
-            batch_size=batch_size or len(starts),
-            use_plans=use_plans,
-            paths_tracked=len(starts),
-            paths_converged=outcome.paths_converged,
-            wall_seconds=wall,
-        ))
-    return rows
+            if not plans:
+                tracker.homotopy = _WalkBatchHomotopy(
+                    start, target, gamma=tracker.homotopy.gamma,
+                    context=context, backend=tracker.backend)
+            converged[plans] = tracker.track_batches(starts).paths_converged
+        return run
+
+    walls = _best_interleaved(track(True), track(False), _TRACKER_REPEATS, 1)
+    return [PlanTrackerRow(context=context.name,
+                           batch_size=batch_size or len(starts),
+                           plans=plans,
+                           paths_tracked=len(starts),
+                           paths_converged=converged[plans],
+                           wall_seconds=wall)
+            for plans, wall in zip((True, False), walls)]
 
 
 def _component_planes(array, context: NumericContext):
@@ -258,13 +309,12 @@ def run_scenario_eval_plan_bench(scenarios=None,
 
     Per scenario (defaults to
     :func:`repro.bench.scenarios.bench_scenarios`): the compiled homotopy
-    plan's multiplication/addition saving over the walk path, plus the
-    plan-vs-walk bit-for-bit identity verdict on a random lane batch.
+    plan's multiplication/addition saving over the reference walk, plus
+    the plan-vs-walk bit-for-bit identity verdict on a random lane batch.
     Identity must hold on *every* registry shape, including
     irregular-degree systems the plan compiler had never been pointed at
     before the registry existed.
     """
-    from ..core.opcounts import sharing_report
     from .scenarios import bench_scenarios
 
     matrix: Dict[str, Dict[str, object]] = {}
@@ -281,10 +331,8 @@ def run_scenario_eval_plan_bench(scenarios=None,
         points = _lane_points(backend, target.dimension, lanes,
                               seed=int(rng.integers(1, 2**31)))
         t = rng.uniform(0.1, 0.9, size=lanes)
-        with use_eval_plans(False):
-            walk = homotopy.evaluate_batch(points, t)
-        with use_eval_plans(True):
-            plan = homotopy.evaluate_batch(points, t)
+        walk = _walk(homotopy, points, t)
+        plan = homotopy.evaluate_batch(points, t)
 
         entry = scenario.as_dict()
         entry.update({
@@ -333,7 +381,7 @@ def run_allocation_bench(context: NumericContext = QUAD_DOUBLE,
                          evaluations: int = 10) -> Dict[str, float]:
     """Constructor-family allocations per batched homotopy evaluation.
 
-    Two modes: the walk path (``walk``) and the plan path, whose rows live
+    Two modes: the reference walk (``walk``) and the plan, whose rows live
     in its persistent arena (``plans_arenas``).  Each mode is warmed first
     (plan compilation, arena sizing and scratch-stack growth happen once,
     outside the counted region), so the counts reflect steady-state
@@ -343,15 +391,14 @@ def run_allocation_bench(context: NumericContext = QUAD_DOUBLE,
     backend = backend_for_context(context)
     points = _lane_points(backend, dimension, lanes)
     t = np.random.default_rng(5).uniform(0.1, 0.9, size=lanes)
+    homotopy = BatchHomotopy(start, target, context=context, backend=backend)
     results: Dict[str, float] = {}
-    for mode, plans in (("walk", False), ("plans_arenas", True)):
-        homotopy = BatchHomotopy(start, target, context=context,
-                                 backend=backend)
-        with use_eval_plans(plans):
-            homotopy.evaluate_batch(points, t)  # warm outside the count
-            total = _count_numpy_allocations(
-                lambda: [homotopy.evaluate_batch(points, t)
-                         for _ in range(evaluations)])
+    for mode, evaluate in (("walk", _walk),
+                           ("plans_arenas", BatchHomotopy.evaluate_batch)):
+        evaluate(homotopy, points, t)  # warm outside the count
+        total = _count_numpy_allocations(
+            lambda: [evaluate(homotopy, points, t)
+                     for _ in range(evaluations)])
         results[mode] = total / float(evaluations)
     return results
 
@@ -366,8 +413,8 @@ def eval_plan_report(op_counts: Dict[str, object],
         "evaluation": [row.as_dict() for row in eval_rows],
         "tracker": [row.as_dict() for row in tracker_rows],
     }
-    plan_wall = next((r.wall_seconds for r in tracker_rows if r.use_plans), None)
-    walk_wall = next((r.wall_seconds for r in tracker_rows if not r.use_plans), None)
+    plan_wall = next((r.wall_seconds for r in tracker_rows if r.plans), None)
+    walk_wall = next((r.wall_seconds for r in tracker_rows if not r.plans), None)
     if plan_wall and walk_wall:
         report["qd_tracker_wall_speedup"] = walk_wall / plan_wall
     if allocations:

@@ -15,13 +15,7 @@
 """
 
 from .batch import BatchEvaluator, BatchResult, BatchStatistics
-from .evalplan import (
-    EvaluationPlan,
-    HomotopyPlan,
-    PlanOpCounts,
-    eval_plans_enabled,
-    use_eval_plans,
-)
+from .evalplan import EvaluationPlan, HomotopyPlan, PlanOpCounts
 from .common_factor_kernel import CommonFactorFromScratchKernel, CommonFactorKernel
 from .cpu_reference import CPUEvaluation, CPUReferenceEvaluator
 from .evaluator import GPUEvaluation, GPUEvaluator
@@ -52,7 +46,6 @@ from .opcounts import (
     expected_counts,
     kernel1_multiplications_per_thread,
     kernel2_multiplications_per_thread,
-    sharing_report,
     speelpenning_multiplications,
 )
 from .speelpenning_kernel import SpeelpenningKernel
@@ -91,7 +84,6 @@ __all__ = [
     "SummationKernel",
     "SystemLayout",
     "compare_evaluations",
-    "eval_plans_enabled",
     "expected_counts",
     "kernel1_multiplications_per_thread",
     "kernel2_multiplications_per_thread",
@@ -100,8 +92,6 @@ __all__ = [
     "partition_monomials",
     "portable_checkpoints",
     "shared_memory_budget",
-    "sharing_report",
     "speelpenning_multiplications",
-    "use_eval_plans",
     "validate_evaluator",
 ]

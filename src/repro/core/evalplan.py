@@ -4,8 +4,8 @@ The paper's premise (section 3) is that the polynomial system is *fixed* for
 the whole run -- 100,000 evaluations of one system inside a path tracker --
 so everything that depends only on the system's shape should be decided
 once, not rediscovered on every predictor/corrector call.  The walk-the-terms
-evaluator (:class:`~repro.core.batch.VectorisedBatchEvaluator.evaluate`)
-re-derives three things per call that never change:
+evaluator (:func:`repro.core.reference.walk_evaluate`) re-derives three
+things per call that never change:
 
 1. **powers** -- ``x^(a-1)`` is recomputed per *term*, although every term
    of every polynomial draws from the same per-variable power ladder;
@@ -68,10 +68,10 @@ path's multiplication of a zeros row by the other weight (equal under
 
 Both plans expose compile-time operation counts (:class:`PlanOpCounts`, in
 multiprecision-multiplication units: a ``**e`` counts as its dd/qd binary
-multiply chain) next to the matching counts of the walk path, which is how
-``BENCH_eval_plan.json`` and the ``tests/bench`` acceptance tests assert the
-plan never schedules more work than the walk and wins >= 1.5x on workloads
-with shared supports.
+multiply chain).  :mod:`repro.core.reference` counts the walk in the same
+units, which is how ``BENCH_eval_plan.json`` and the ``tests/bench``
+acceptance tests assert the plan never schedules more work than the walk
+and wins >= 1.5x on workloads with shared supports.
 
 Plans have one execution path.  The plane and row tensors, the gather
 buffers and the views the executor writes through live in a plan-owned
@@ -80,16 +80,15 @@ so a steady-state execution allocates almost nothing; the ``(B,)`` rows it
 returns are views of the row tensor, valid until the plan's next
 execution.
 
-The module-wide toggle (:func:`use_eval_plans`, default on) keeps the
-walk path as the differential oracle of that one path; flipping the
-toggle only trades execution schedule, never results.
+Product code has no other evaluation path.  The walk-the-terms evaluator
+is the plans' differential oracle in :mod:`repro.core.reference`, which
+tests and :mod:`repro.bench` import and product modules never do.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -106,42 +105,10 @@ __all__ = [
     "HomotopyPlan",
     "PlanExecutionStats",
     "PlanOpCounts",
-    "eval_plans_enabled",
     "homotopy_compile_cache_stats",
-    "homotopy_walk_op_counts",
     "pow_chain_multiplications",
     "require_lane_batch",
-    "use_eval_plans",
-    "walk_op_counts",
 ]
-
-
-# ----------------------------------------------------------------------
-# the plan/walk toggle
-# ----------------------------------------------------------------------
-_PLANS_ENABLED = True
-
-
-def eval_plans_enabled() -> bool:
-    """Whether batch evaluators dispatch to their compiled plans."""
-    return _PLANS_ENABLED
-
-
-@contextmanager
-def use_eval_plans(enabled: bool):
-    """Temporarily force the compiled-plan (or walk-the-terms) path.
-
-    The walk path replays the original per-term loops; the differential
-    tests run both and compare, so this switch exists for them and for the
-    plan-vs-walk benchmark, not for results.
-    """
-    global _PLANS_ENABLED
-    previous = _PLANS_ENABLED
-    _PLANS_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _PLANS_ENABLED = previous
 
 
 # ----------------------------------------------------------------------
@@ -280,66 +247,6 @@ class PlanExecutionStats:
         return {"executions": self.executions,
                 "step_cache_hits": 0,
                 "step_cache_misses": 0}
-
-
-def walk_op_counts(system: PolynomialSystem) -> PlanOpCounts:
-    """Operation count of one walk-the-terms batched evaluation.
-
-    Mirrors :meth:`repro.core.batch.VectorisedBatchEvaluator.evaluate`
-    exactly: powers, common factors, Speelpenning sweeps and coefficient
-    products are re-derived per term, with no sharing.
-    """
-    muls = 0
-    adds = 0
-    for poly in system:
-        value_terms = 0
-        row_contributions: Dict[int, int] = {}
-        for _, mono in poly.terms:
-            k = len(mono.positions)
-            if value_terms:
-                adds += 1  # iadd into the value accumulator
-            value_terms += 1
-            if k == 0:
-                continue
-            n_gt1 = sum(1 for e in mono.exponents if e > 1)
-            muls += sum(pow_chain_multiplications(e - 1)
-                        for e in mono.exponents if e > 1)
-            muls += max(0, n_gt1 - 1)            # common-factor chain
-            muls += max(0, 3 * k - 6)            # Speelpenning sweep
-            if k >= 2:
-                muls += 1                        # product = grad[-1] * last
-            if n_gt1:
-                muls += 1                        # monomial_value = cf * prod
-            muls += 1                            # term_value = coeff * mv
-            for p in mono.positions:
-                if k == 1:
-                    muls += 1 if n_gt1 else 0    # common * scale (or full)
-                else:
-                    muls += (1 if n_gt1 else 0)  # base = common * grad_j
-                    muls += 1                    # scale * base
-                if row_contributions.get(p):
-                    adds += 1                    # iadd into the row entry
-                row_contributions[p] = row_contributions.get(p, 0) + 1
-    return PlanOpCounts(muls, adds)
-
-
-def homotopy_walk_op_counts(start_system: PolynomialSystem,
-                            target_system: PolynomialSystem) -> PlanOpCounts:
-    """Operation count of one walk-path batched homotopy evaluation.
-
-    Two independent system walks plus the dense blend of
-    :meth:`repro.tracking.homotopy.BatchHomotopy.evaluate_batch`: every
-    value row and every Jacobian entry (including structural zeros) pays
-    two weighted products and an addition, and each ``dh/dt`` row one
-    product and one subtraction.
-    """
-    n = target_system.dimension
-    blend = PlanOpCounts(
-        multiplications=2 * (n * n + n) + n,
-        additions=(n * n + n) + n,
-    )
-    return (walk_op_counts(start_system) + walk_op_counts(target_system)
-            + blend)
 
 
 # ----------------------------------------------------------------------
@@ -1059,16 +966,16 @@ class _PlanExecutor:
 class EvaluationPlan(_PlanExecutor):
     """A compiled single-system evaluation schedule.
 
-    Executing the plan is bit-for-bit identical to the walk path of
-    :class:`~repro.core.batch.VectorisedBatchEvaluator` -- same power
-    chains, same sweep, same accumulation order -- while computing every
-    shared plane once.
+    Executing the plan is bit-for-bit identical to the reference walk
+    :func:`repro.core.reference.walk_evaluate` -- same power chains, same
+    sweep, same accumulation order -- while computing every shared plane
+    once.
 
     Attributes
     ----------
-    op_counts / walk_counts:
-        :class:`PlanOpCounts` of the compiled schedule and of the reference
-        walk, per batched evaluation.
+    op_counts:
+        :class:`PlanOpCounts` of the compiled schedule, per batched
+        evaluation.
     statistics:
         Compile-time sharing statistics (unique sweeps, power-table
         entries, shared term planes, ...).
@@ -1087,7 +994,6 @@ class EvaluationPlan(_PlanExecutor):
         compiler.finalize()
         self._specs = compiler.specs
         self.op_counts = compiler.op_counts([self._schedules])
-        self.walk_counts = walk_op_counts(system)
         self.statistics = compiler.statistics()
         self._program, (rows,) = _lower(n, self._specs, [self._schedules],
                                         **self._flavour(self.backend))
@@ -1162,8 +1068,8 @@ class HomotopyPlan(_PlanExecutor):
     the target), and the blend runs over the sparse union of the two
     Jacobian structures as stacked weighted products.
 
-    ``op_counts`` / ``walk_counts`` price one batched homotopy evaluation
-    (both system passes plus the blend) for the plan and the walk path.
+    ``op_counts`` prices one batched homotopy evaluation (both system
+    passes plus the blend).
     """
 
     def __init__(self, start_system: PolynomialSystem,
@@ -1171,6 +1077,9 @@ class HomotopyPlan(_PlanExecutor):
                  gamma: Optional[complex] = None,
                  backend: Optional[ComplexBatchBackend] = None,
                  context: NumericContext = DOUBLE):
+        for system in (start_system, target_system):
+            if not system.is_square():
+                raise ConfigurationError("a homotopy plan needs square systems")
         if start_system.dimension != target_system.dimension:
             raise ConfigurationError("start and target systems must share a dimension")
         self.start_system = start_system
@@ -1186,7 +1095,6 @@ class HomotopyPlan(_PlanExecutor):
         self.statistics = compiled["statistics"]
         self._jac_union = compiled["jac_union"]
         self.op_counts = compiled["op_counts"]
-        self.walk_counts = compiled["walk_counts"]
         flavour = self._flavour(self.backend)
         key = ("lowered", flavour["ladder"], flavour["swap"])
         lowered = compiled.get(key)
@@ -1248,8 +1156,6 @@ class HomotopyPlan(_PlanExecutor):
             "statistics": compiler.statistics(),
             "jac_union": jac_union,
             "op_counts": accumulation + PlanOpCounts(blend_muls, blend_adds),
-            "walk_counts": homotopy_walk_op_counts(start_system,
-                                                   target_system),
         }
         with _COMPILE_CACHE_LOCK:
             _COMPILE_CACHE[key] = compiled
@@ -1307,20 +1213,35 @@ class HomotopyPlan(_PlanExecutor):
         as :class:`~repro.tracking.homotopy.BatchHomotopyEvaluation`; every
         row is a view of the plan's row tensor, valid until the next
         ``execute``.
+
+        Raises
+        ------
+        ConfigurationError
+            When ``points`` is not an ``(n, B)`` lane batch, or ``t`` is
+            not a shape ``(B,)`` array of finite values in ``[0, 1]``.
         """
         if self.gamma is None:
             raise ConfigurationError("this HomotopyPlan was compiled without "
                                      "a gamma; pass one at construction")
         require_lane_batch(points, self.dimension)
+        lanes = points.shape[1]
+        t = np.asarray(t, dtype=np.float64)
+        if t.shape != (lanes,):
+            raise ConfigurationError(
+                f"expected one continuation parameter per lane, shape "
+                f"({lanes},); got shape {t.shape}")
+        # NaN fails both comparisons, so it is rejected with the rest.
+        if not np.all((t >= 0.0) & (t <= 1.0)):
+            raise ConfigurationError(
+                "every continuation parameter must be finite and lie in [0, 1]")
         backend = self.backend
-        tensors, blend = self._tensors(points.shape[1])
+        tensors, blend = self._tensors(lanes)
         self._evaluate(points, tensors)
 
         # One up-front embedding per execution instead of one inside every
         # blend kernel: ``embed_complex128`` is exactly the coercion the
         # kernels apply to an ndarray operand, so the landed bits are
         # unchanged.
-        t = np.asarray(t, dtype=np.float64)
         weight_g = backend.embed_complex128(
             self.gamma * (1.0 - t).astype(np.complex128))
         weight_f = backend.embed_complex128(t.astype(np.complex128))

@@ -22,9 +22,9 @@ paper's complexity analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from ..polynomials.system import PolynomialSystem, SystemShape
+from ..polynomials.system import SystemShape
 
 __all__ = [
     "KernelOperationCounts",
@@ -32,7 +32,6 @@ __all__ = [
     "kernel2_multiplications_per_thread",
     "kernel1_multiplications_per_thread",
     "expected_counts",
-    "sharing_report",
 ]
 
 
@@ -115,40 +114,3 @@ def expected_counts(shape: SystemShape, block_size: int = 32) -> KernelOperation
         kernel2_multiplications=nm * kernel2_multiplications_per_thread(k),
         kernel3_additions=(n * n + n) * m,
     )
-
-
-def sharing_report(target: PolynomialSystem,
-                   start: Optional[PolynomialSystem] = None) -> Dict[str, object]:
-    """Ops saved by the compiled evaluation plan's sharing, per evaluation.
-
-    Compiles ``target`` into an :class:`~repro.core.evalplan.EvaluationPlan`
-    (or, when ``start`` is given, the pair into a
-    :class:`~repro.core.evalplan.HomotopyPlan`) and compares the compiled
-    schedule's operation count against the walk-the-terms reference path's.
-    Counts are batch-array operations per evaluation in multiprecision
-    units (a ``**e`` counts as its dd/qd binary multiply chain); see
-    :class:`~repro.core.evalplan.PlanOpCounts`.  This is what generates the
-    numbers quoted in ``docs/eval_plans.md`` and the op-count section of
-    ``BENCH_eval_plan.json`` -- measured from the compiled schedule, not
-    hand-written.
-    """
-    # Imported here: evalplan imports the backend registry, which this
-    # closed-form module should not drag in at import time.
-    from .evalplan import EvaluationPlan, HomotopyPlan
-
-    if start is None:
-        plan = EvaluationPlan(target)
-    else:
-        plan = HomotopyPlan(start, target)
-    walk = plan.walk_counts
-    compiled = plan.op_counts
-    return {
-        "walk": walk.as_dict(),
-        "plan": compiled.as_dict(),
-        "multiplications_saved": walk.multiplications - compiled.multiplications,
-        "additions_saved": walk.additions - compiled.additions,
-        "multiplication_saving_factor": (
-            walk.multiplications / compiled.multiplications
-            if compiled.multiplications else float("inf")),
-        "sharing": dict(plan.statistics),
-    }

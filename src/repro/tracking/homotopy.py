@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..core.evalplan import HomotopyPlan
 from ..errors import ConfigurationError
 from ..multiprec.backend import ComplexBatchBackend, backend_for_context
 from ..multiprec.numeric import DOUBLE, NumericContext
@@ -132,96 +133,59 @@ class BatchHomotopy:
     """The gamma-trick homotopy over an ``(n, B)`` lane batch of points.
 
     Unlike the scalar :class:`Homotopy`, which composes two evaluator
-    *objects*, the batched variant is built from the two *systems* directly:
-    it instantiates a
-    :class:`~repro.core.batch.VectorisedBatchEvaluator` for each, so both
-    the start and the target system are evaluated for the whole batch with
-    structure-of-arrays arithmetic.  Every lane carries its own ``t`` (the
-    batch tracker advances paths at independent rates), so the convex
-    weights ``gamma (1 - t)`` and ``t`` are per-lane complex vectors that
-    broadcast across the value and Jacobian rows.
+    *objects*, the batched variant is built from the two *systems* directly
+    and evaluates them through one compiled
+    :class:`~repro.core.evalplan.HomotopyPlan`: both systems' supports and
+    power tables are shared, and the blend runs over the sparse union of
+    their Jacobian structures.  Every lane carries its own ``t`` (the batch
+    tracker advances paths at independent rates), so the convex weights
+    ``gamma (1 - t)`` and ``t`` are per-lane complex vectors that broadcast
+    across the value and Jacobian rows.
     """
 
     def __init__(self, start_system, target_system, *,
                  gamma: Optional[complex] = None,
                  context: NumericContext = DOUBLE,
-                 backend: Optional[ComplexBatchBackend] = None,
-                 use_plan: Optional[bool] = None):
-        # Imported here: repro.core.batch already imports repro.multiprec,
-        # and pulling it at module load would cycle through repro.tracking.
-        from ..core.batch import VectorisedBatchEvaluator
-
+                 backend: Optional[ComplexBatchBackend] = None):
+        for system in (start_system, target_system):
+            if not system.is_square():
+                raise ConfigurationError("batched evaluation needs a square system")
+        if start_system.dimension != target_system.dimension:
+            raise ConfigurationError("start and target systems must share a dimension")
+        self.start_system = start_system
+        self.target_system = target_system
         self.context = context
         self.backend = backend or backend_for_context(context)
         self.gamma = _checked_gamma(gamma)
-        # The sub-evaluators drive the walk path only; the plan path runs
-        # the pair through one fused HomotopyPlan instead.  They are built
-        # with use_plan=False so the walk reference stays a pure walk even
-        # while plans are globally enabled.
-        self.start_evaluator = VectorisedBatchEvaluator(start_system, backend=self.backend,
-                                                        use_plan=False)
-        self.target_evaluator = VectorisedBatchEvaluator(target_system, backend=self.backend,
-                                                         use_plan=False)
-        if start_system.dimension != target_system.dimension:
-            raise ConfigurationError("start and target systems must share a dimension")
         self.dimension = target_system.dimension
-        self.use_plan = use_plan
-        self._plan = None
-        self._systems = (start_system, target_system)
+        self._plan: Optional[HomotopyPlan] = None
 
     @property
-    def plan(self):
+    def plan(self) -> HomotopyPlan:
         """The fused :class:`~repro.core.evalplan.HomotopyPlan` of the
         start+target pair (compiled on first use, cached)."""
         if self._plan is None:
-            from ..core.evalplan import HomotopyPlan  # local import: cycle
-
-            self._plan = HomotopyPlan(self._systems[0], self._systems[1],
+            self._plan = HomotopyPlan(self.start_system, self.target_system,
                                       gamma=self.gamma, backend=self.backend)
         return self._plan
 
     def evaluate_batch(self, points, t: np.ndarray) -> BatchHomotopyEvaluation:
         """Evaluate ``h``, ``dh/dx`` and ``dh/dt`` at per-lane parameters.
 
-        With evaluation plans enabled (the default, see
-        :func:`repro.core.evalplan.use_eval_plans`) the whole evaluation --
-        both system passes, the convex blend and ``dh/dt`` -- runs from the
-        compiled :class:`~repro.core.evalplan.HomotopyPlan`: supports and
-        power tables are shared across the two systems and the blend lands
-        in-place over the sparse Jacobian union instead of materialising
-        ``n^2 + 2n`` blended temporaries.
+        The whole evaluation -- both system passes, the convex blend and
+        ``dh/dt`` -- runs from the compiled :attr:`plan`.  The returned rows
+        are views of the plan's row tensor, valid until the next
+        evaluation.
+
+        Raises
+        ------
+        ConfigurationError
+            When ``points`` is not an ``(n, B)`` lane batch, or ``t`` is
+            not a shape ``(B,)`` array of finite values in ``[0, 1]``.
         """
-        t = np.asarray(t, dtype=np.float64)
-        if np.any((t < 0.0) | (t > 1.0)):
-            raise ConfigurationError("all continuation parameters must lie in [0, 1]")
-        enabled = self.use_plan if self.use_plan is not None else self._plans_enabled()
-        if enabled:
-            values, jacobian, t_derivative = self.plan.execute(points, t)
-            return BatchHomotopyEvaluation(values=values, jacobian=jacobian,
-                                           t_derivative=t_derivative)
-        g = self.start_evaluator.evaluate(points)
-        f = self.target_evaluator.evaluate(points)
-
-        weight_g = self.gamma * (1.0 - t).astype(np.complex128)
-        weight_f = t.astype(np.complex128)
-
-        n = self.dimension
-        values = [g.values[i] * weight_g + f.values[i] * weight_f for i in range(n)]
-        jacobian = [
-            [g.jacobian[i][j] * weight_g + f.jacobian[i][j] * weight_f
-             for j in range(n)]
-            for i in range(n)
-        ]
-        # dh/dt = f(x) - gamma g(x), independent of t.
-        t_derivative = [f.values[i] - g.values[i] * self.gamma for i in range(n)]
+        values, jacobian, t_derivative = self.plan.execute(points, t)
         return BatchHomotopyEvaluation(values=values, jacobian=jacobian,
                                        t_derivative=t_derivative)
-
-    @staticmethod
-    def _plans_enabled() -> bool:
-        from ..core.evalplan import eval_plans_enabled  # local import: cycle
-
-        return eval_plans_enabled()
 
     class _Frozen:
         """Adapter exposing a batched evaluator interface for fixed ``t``."""

@@ -23,6 +23,7 @@ from repro.bench.eval_plan import (
     run_eval_plan_bench,
 )
 from repro.core.evalplan import EvaluationPlan, HomotopyPlan
+from repro.core.reference import homotopy_walk_op_counts, walk_op_counts
 from repro.multiprec.numeric import QUAD_DOUBLE
 from repro.polynomials.monomial import Monomial
 from repro.polynomials.polynomial import Polynomial
@@ -52,13 +53,16 @@ class TestPlanOpFloor:
         """Across varied systems the plan is at worst op-neutral."""
         for seed in range(8):
             target = random_dense_system(seed)
-            plan = EvaluationPlan(target)
-            assert plan.op_counts.multiplications <= plan.walk_counts.multiplications, \
+            plan = EvaluationPlan(target).op_counts
+            walk = walk_op_counts(target)
+            assert plan.multiplications <= walk.multiplications, \
                 f"seed {seed}: plan schedules more multiplications than the walk"
-            assert plan.op_counts.additions <= plan.walk_counts.additions
-            hplan = HomotopyPlan(total_degree_start_system(target), target)
-            assert hplan.op_counts.multiplications <= hplan.walk_counts.multiplications
-            assert hplan.op_counts.additions <= hplan.walk_counts.additions
+            assert plan.additions <= walk.additions
+            start = total_degree_start_system(target)
+            hplan = HomotopyPlan(start, target).op_counts
+            hwalk = homotopy_walk_op_counts(start, target)
+            assert hplan.multiplications <= hwalk.multiplications
+            assert hplan.additions <= hwalk.additions
 
     def test_shared_support_workload_saves_at_least_1_3x(self):
         """The escalation workload (shared start/target monomials) must
@@ -82,10 +86,10 @@ class TestReportShape:
                                  plan_evals_per_second=20.0,
                                  walk_evals_per_second=10.0)]
         tracker_rows = [
-            PlanTrackerRow(context="qd", batch_size=8, use_plans=True,
+            PlanTrackerRow(context="qd", batch_size=8, plans=True,
                            paths_tracked=8, paths_converged=8,
                            wall_seconds=2.0),
-            PlanTrackerRow(context="qd", batch_size=8, use_plans=False,
+            PlanTrackerRow(context="qd", batch_size=8, plans=False,
                            paths_tracked=8, paths_converged=8,
                            wall_seconds=3.0),
         ]
@@ -119,7 +123,7 @@ class TestAllocationDrop:
     def test_arena_path_allocates_a_tenth_of_the_walk(self):
         """Steady-state allocations per batched evaluation: the plan's
         arena executor retires the bulk of the walk's per-evaluation churn
-        (the checked-in report records 76 vs 1794)."""
+        (the checked-in report records 10 vs 834)."""
         counts = run_allocation_bench(evaluations=4)
         assert counts["plans_arenas"] <= 0.1 * counts["walk"], counts
 
@@ -128,7 +132,7 @@ class TestAllocationDrop:
 class TestMeasuredSpeedup:
     def test_qd_evaluation_throughput_wins(self):
         """The plan path must beat the walk on qd evaluate_batch wall clock
-        (the checked-in report records ~1.7x; 1.15x is the alarm floor)."""
+        (the checked-in report records ~7x; 1.15x is the alarm floor)."""
         rows = run_eval_plan_bench(batch_sizes=(64,),
                                    contexts=(QUAD_DOUBLE,),
                                    repeats=7)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.core import BatchEvaluator, CPUReferenceEvaluator, GPUEvaluator
-from repro.core.batch import VectorisedBatchEvaluator
+from repro.core import BatchEvaluator, CPUReferenceEvaluator, EvaluationPlan, GPUEvaluator
 from repro.gpusim import GPUCostModel
 from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
 from repro.multiprec.backend import backend_for_context
@@ -101,13 +100,13 @@ class TestBatchEvaluation:
         assert result.statistics.extrapolate(10) == 0.0
 
 
-class TestVectorisedBatchEvaluator:
-    """The structure-of-arrays evaluator against the scalar CPU reference."""
+class TestEvaluationPlanAgainstCPUReference:
+    """The compiled lane-batch evaluation against the scalar CPU reference."""
 
     def _check_against_reference(self, system, context, lanes=4, tol=1e-12):
         backend = backend_for_context(context)
         pts = [random_point(system.dimension, seed=100 + s) for s in range(lanes)]
-        batch = VectorisedBatchEvaluator(system, backend=backend).evaluate(
+        values, jacobian = EvaluationPlan(system, backend=backend).execute(
             backend.from_points(pts))
         reference = CPUReferenceEvaluator(system, context=context, algorithm="naive")
         n = system.dimension
@@ -115,11 +114,11 @@ class TestVectorisedBatchEvaluator:
             expected = reference.evaluate([context.from_complex(complex(x))
                                            for x in point])
             for i in range(n):
-                got = backend.to_complex128(batch.values[i])[lane]
+                got = backend.to_complex128(values[i])[lane]
                 assert got == pytest.approx(context.to_complex(expected.values[i]),
                                             rel=tol, abs=tol)
                 for j in range(n):
-                    got_j = backend.to_complex128(batch.jacobian[i][j])[lane]
+                    got_j = backend.to_complex128(jacobian[i][j])[lane]
                     assert got_j == pytest.approx(
                         context.to_complex(expected.jacobian[i][j]), rel=tol, abs=tol)
 
@@ -127,13 +126,14 @@ class TestVectorisedBatchEvaluator:
         self._check_against_reference(small_system, DOUBLE)
 
     def test_matches_reference_double_double_exactly(self, small_system):
-        # ComplexDDArray runs the same operation sequences as the scalar
-        # ComplexDD loop, so double-rounded results agree exactly.
+        # The plan's ComplexDDArray products run the same operation
+        # sequences as the scalar ComplexDD loop, so double-rounded
+        # results agree exactly.
         self._check_against_reference(small_system, DOUBLE_DOUBLE, tol=0.0)
 
     def test_handles_irregular_systems(self):
         # x0^2 - 1 mixes k=1 and k=0 monomials: refused by the simulated
-        # device, fine for the structure-of-arrays path.
+        # device, fine for the compiled lane-batch plan.
         system = PolynomialSystem([
             Polynomial([(1 + 0j, Monomial((0,), (2,))), (-1 + 0j, Monomial((), ()))]),
         ])
@@ -153,4 +153,4 @@ class TestVectorisedBatchEvaluator:
             Polynomial([(1 + 0j, Monomial((0,), (1,)))]),
         ], dimension=2)
         with pytest.raises(ConfigurationError):
-            VectorisedBatchEvaluator(system, context=DOUBLE)
+            EvaluationPlan(system, context=DOUBLE)

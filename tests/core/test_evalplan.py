@@ -1,7 +1,8 @@
 """Differential plan-vs-walk suite for the compiled evaluation plans.
 
 The compiled :class:`~repro.core.evalplan.EvaluationPlan` must reproduce
-the walk-the-terms path *bit for bit* at every rung -- the two paths share
+the walk-the-terms oracle (:mod:`repro.core.reference`) *bit for bit* at
+every rung -- the two paths share
 their power chains, sweeps and accumulation order, so any divergence is a
 compiler bug, not roundoff.  The :class:`~repro.core.evalplan.HomotopyPlan`
 is bit-for-bit on the value rows and the t-derivative; Jacobian entries
@@ -21,18 +22,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import VectorisedBatchEvaluator
+from repro.bench.eval_plan import sharing_report
 from repro.core.evalplan import (
     EvaluationPlan,
     HomotopyPlan,
     PlanOpCounts,
-    eval_plans_enabled,
-    homotopy_walk_op_counts,
     pow_chain_multiplications,
-    use_eval_plans,
+)
+from repro.core.reference import (
+    homotopy_walk_op_counts,
+    walk_evaluate,
+    walk_homotopy,
     walk_op_counts,
 )
-from repro.core.opcounts import sharing_report
 from repro.errors import ConfigurationError
 from repro.multiprec.backend import backend_for_context, masked_lane_errstate
 from repro.multiprec.numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE
@@ -135,18 +137,15 @@ def assert_value_equal(a, b, context, where=""):
 def check_single_system(system, context, rng, lanes=5, poison=False):
     backend = backend_for_context(context)
     points = lane_points(backend, system.dimension, lanes, rng, poison=poison)
-    evaluator = VectorisedBatchEvaluator(system, backend=backend)
     with masked_lane_errstate():
-        with use_eval_plans(False):
-            walk = evaluator.evaluate(points)
-        with use_eval_plans(True):
-            plan = evaluator.evaluate(points)
+        walk_values, walk_jacobian = walk_evaluate(system, points, backend)
+        values, jacobian = EvaluationPlan(system, backend=backend).execute(points)
     n = system.dimension
     for i in range(n):
-        assert_bit_for_bit(walk.values[i], plan.values[i], context,
+        assert_bit_for_bit(walk_values[i], values[i], context,
                            f"values[{i}] at {context.name}")
         for j in range(n):
-            assert_bit_for_bit(walk.jacobian[i][j], plan.jacobian[i][j],
+            assert_bit_for_bit(walk_jacobian[i][j], jacobian[i][j],
                                context, f"jacobian[{i}][{j}] at {context.name}")
 
 
@@ -157,17 +156,16 @@ def check_homotopy(start, target, context, rng, lanes=5, poison=False):
     t = rng.uniform(0.0, 1.0, size=lanes)
     homotopy = BatchHomotopy(start, target, context=context, backend=backend)
     with masked_lane_errstate():
-        with use_eval_plans(False):
-            walk = homotopy.evaluate_batch(points, t)
-        with use_eval_plans(True):
-            plan = homotopy.evaluate_batch(points, t)
+        walk_values, walk_jacobian, walk_dt = walk_homotopy(
+            start, target, points, t, homotopy.gamma, backend)
+        plan = homotopy.evaluate_batch(points, t)
     for i in range(n):
-        assert_bit_for_bit(walk.values[i], plan.values[i], context,
+        assert_bit_for_bit(walk_values[i], plan.values[i], context,
                            f"h values[{i}] at {context.name}")
-        assert_bit_for_bit(walk.t_derivative[i], plan.t_derivative[i], context,
+        assert_bit_for_bit(walk_dt[i], plan.t_derivative[i], context,
                            f"dh/dt[{i}] at {context.name}")
         for j in range(n):
-            assert_value_equal(walk.jacobian[i][j], plan.jacobian[i][j],
+            assert_value_equal(walk_jacobian[i][j], plan.jacobian[i][j],
                                context, f"h jacobian[{i}][{j}] at {context.name}")
 
 
@@ -239,77 +237,61 @@ if HAVE_HYPOTHESIS:
 # ----------------------------------------------------------------------
 # shape validation (regression: 1-D points used to be silently misread)
 # ----------------------------------------------------------------------
+def evaluate_by_plan(system, points):
+    return EvaluationPlan(system).execute(points)
+
+
+def evaluate_by_walk(system, points):
+    return walk_evaluate(system, points, backend_for_context(DOUBLE))
+
+
+EVALUATION_PATHS = {"plan": evaluate_by_plan, "reference": evaluate_by_walk}
+
+
 class TestInputShapeValidation:
-    def make_evaluator(self):
-        system = PolynomialSystem([
+    def make_system(self):
+        return PolynomialSystem([
             Polynomial([(1 + 0j, Monomial((0,), (2,)))]),
             Polynomial([(1 + 0j, Monomial((1,), (1,)))]),
         ], dimension=2)
-        return VectorisedBatchEvaluator(system)
 
-    @pytest.mark.parametrize("use_plan", [True, False])
-    def test_one_dimensional_points_rejected(self, use_plan):
-        evaluator = self.make_evaluator()
+    @pytest.mark.parametrize("path", sorted(EVALUATION_PATHS))
+    def test_one_dimensional_points_rejected(self, path):
         flat = np.array([1 + 0j, 2 + 0j])  # a single point, not a batch
-        with use_eval_plans(use_plan):
-            with pytest.raises(ConfigurationError, match=r"\(n, B\)"):
-                evaluator.evaluate(flat)
+        with pytest.raises(ConfigurationError, match=r"\(n, B\)"):
+            EVALUATION_PATHS[path](self.make_system(), flat)
 
-    @pytest.mark.parametrize("use_plan", [True, False])
-    def test_wrong_leading_dimension_rejected(self, use_plan):
-        evaluator = self.make_evaluator()
+    @pytest.mark.parametrize("path", sorted(EVALUATION_PATHS))
+    def test_wrong_leading_dimension_rejected(self, path):
         wrong = np.zeros((3, 4), dtype=np.complex128)
-        with use_eval_plans(use_plan):
-            with pytest.raises(ConfigurationError, match="dimension"):
-                evaluator.evaluate(wrong)
+        with pytest.raises(ConfigurationError, match="dimension"):
+            EVALUATION_PATHS[path](self.make_system(), wrong)
 
     def test_correct_shape_accepted(self):
-        evaluator = self.make_evaluator()
         points = np.ones((2, 3), dtype=np.complex128)
-        result = evaluator.evaluate(points)
-        assert len(result.values) == 2
-        assert result.values[0].shape == (3,)
+        values, _ = evaluate_by_plan(self.make_system(), points)
+        assert len(values) == 2
+        assert values[0].shape == (3,)
 
     def test_batch_homotopy_rejects_flat_points(self):
         system = PolynomialSystem([
             Polynomial([(1 + 0j, Monomial((0,), (2,))),
                         (-1 + 0j, Monomial((), ()))]),
         ], dimension=1)
-        homotopy = BatchHomotopy(total_degree_start_system(system), system)
-        for use_plan in (True, False):
-            with use_eval_plans(use_plan):
-                with pytest.raises(ConfigurationError):
-                    homotopy.evaluate_batch(np.ones(3, dtype=np.complex128),
-                                            np.zeros(3))
+        start = total_degree_start_system(system)
+        homotopy = BatchHomotopy(start, system)
+        flat = np.ones(3, dtype=np.complex128)
+        with pytest.raises(ConfigurationError):
+            homotopy.evaluate_batch(flat, np.zeros(3))
+        with pytest.raises(ConfigurationError):
+            walk_homotopy(start, system, flat, np.zeros(3), homotopy.gamma,
+                          homotopy.backend)
 
 
 # ----------------------------------------------------------------------
-# the toggle and the compiled structure
+# the compiled structure
 # ----------------------------------------------------------------------
 class TestPlanMachinery:
-    def test_toggle_round_trip(self):
-        assert eval_plans_enabled()  # default on
-        with use_eval_plans(False):
-            assert not eval_plans_enabled()
-            with use_eval_plans(True):
-                assert eval_plans_enabled()
-            assert not eval_plans_enabled()
-        assert eval_plans_enabled()
-
-    def test_use_plan_parameter_overrides_toggle(self):
-        rng = np.random.default_rng(7)
-        system = random_system(rng, 2)
-        backend = backend_for_context(DOUBLE)
-        points = lane_points(backend, 2, 3, rng)
-        pinned_walk = VectorisedBatchEvaluator(system, use_plan=False)
-        with use_eval_plans(True):
-            pinned_walk.evaluate(points)
-        assert pinned_walk._plan is None  # the walk never compiled a plan
-        pinned_plan = VectorisedBatchEvaluator(system, use_plan=True)
-        with use_eval_plans(False):
-            pinned_plan.evaluate(points)
-        assert pinned_plan._plan is not None
-
     def test_pow_chain_matches_pow_operator_cost(self):
         # e = 1 -> ones*base + one squaring; e = 6 (110b) -> 2 result muls
         # + 3 squarings.
@@ -320,10 +302,10 @@ class TestPlanMachinery:
     def test_plan_compiles_lazily_and_once(self):
         rng = np.random.default_rng(8)
         system = random_system(rng, 2)
-        evaluator = VectorisedBatchEvaluator(system)
-        assert evaluator._plan is None
-        plan = evaluator.plan
-        assert evaluator.plan is plan
+        homotopy = BatchHomotopy(total_degree_start_system(system), system)
+        assert homotopy._plan is None
+        plan = homotopy.plan
+        assert homotopy.plan is plan
 
     def test_rejects_non_square_system(self):
         lopsided = PolynomialSystem([
@@ -331,6 +313,29 @@ class TestPlanMachinery:
         ], dimension=2)
         with pytest.raises(ConfigurationError):
             EvaluationPlan(lopsided)
+
+    def test_homotopy_plan_rejects_non_square_systems(self):
+        lopsided = PolynomialSystem([
+            Polynomial([(1 + 0j, Monomial((0,), (1,)))]),
+        ], dimension=2)
+        square = random_system(np.random.default_rng(12), 2)
+        for start, target in ((lopsided, lopsided), (square, lopsided),
+                              (lopsided, square)):
+            with pytest.raises(ConfigurationError, match="square"):
+                HomotopyPlan(start, target)
+
+    @pytest.mark.parametrize("t", ([0.5, np.nan, 0.5], [0.5], [0.5, 0.5],
+                                   [0.5, 1.5, 0.5], [0.5, 0.5, -np.inf]),
+                             ids=("nan", "one-for-all", "too-few",
+                                  "above-one", "minus-inf"))
+    def test_homotopy_plan_rejects_bad_parameters(self, t):
+        rng = np.random.default_rng(13)
+        target = random_system(rng, 2)
+        plan = HomotopyPlan(total_degree_start_system(target), target,
+                            gamma=complex(0.6, 0.8))
+        points = lane_points(plan.backend, 2, 3, rng)
+        with pytest.raises(ConfigurationError):
+            plan.execute(points, np.asarray(t, dtype=float))
 
     def test_homotopy_plan_requires_gamma_to_execute(self):
         rng = np.random.default_rng(9)
@@ -357,21 +362,24 @@ class TestOpCounts:
         for seed in range(6):
             rng = np.random.default_rng(500 + seed)
             target = random_system(rng, int(rng.integers(2, 5)))
-            plan = EvaluationPlan(target)
-            assert plan.op_counts.multiplications <= plan.walk_counts.multiplications
-            assert plan.op_counts.additions <= plan.walk_counts.additions
+            plan = EvaluationPlan(target).op_counts
+            walk = walk_op_counts(target)
+            assert plan.multiplications <= walk.multiplications
+            assert plan.additions <= walk.additions
             start = total_degree_start_system(target)
-            hplan = HomotopyPlan(start, target)
-            assert hplan.op_counts.multiplications <= hplan.walk_counts.multiplications
-            assert hplan.op_counts.additions <= hplan.walk_counts.additions
+            hplan = HomotopyPlan(start, target).op_counts
+            hwalk = homotopy_walk_op_counts(start, target)
+            assert hplan.multiplications <= hwalk.multiplications
+            assert hplan.additions <= hwalk.additions
 
     def test_walk_counts_match_module_functions(self):
+        # The bench report's walk side is the reference module's count.
         rng = np.random.default_rng(600)
         target = random_system(rng, 3)
         start = total_degree_start_system(target)
-        assert EvaluationPlan(target).walk_counts == walk_op_counts(target)
-        assert (HomotopyPlan(start, target).walk_counts
-                == homotopy_walk_op_counts(start, target))
+        assert sharing_report(target)["walk"] == walk_op_counts(target).as_dict()
+        assert (sharing_report(target, start)["walk"]
+                == homotopy_walk_op_counts(start, target).as_dict())
 
     def test_op_counts_arithmetic(self):
         total = PlanOpCounts(3, 2) + PlanOpCounts(1, 1)

@@ -1,7 +1,7 @@
 """Lifecycle tests for the plan-arena executor.
 
 The arena executor -- the plans' one execution path -- must stay
-bit-for-bit with its oracle, the walk path (``use_eval_plans(False)``),
+bit-for-bit with its oracle, the reference walk (:mod:`repro.core.reference`),
 and its persistent buffers must obey their lifecycle contract: exactly
 one re-size per lane-count change, and exception-safety without scoped
 releases (an aborted execution leaves the arena fully reusable and the
@@ -13,15 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import VectorisedBatchEvaluator
-from repro.core.evalplan import EvaluationPlan, HomotopyPlan, use_eval_plans
+from repro.core.evalplan import EvaluationPlan, HomotopyPlan
+from repro.core.reference import walk_evaluate, walk_homotopy
 from repro.multiprec.backend import backend_for_context, masked_lane_errstate
 from repro.multiprec.bufferpool import plane_stack
 from repro.multiprec.numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE
 from repro.polynomials.monomial import Monomial
 from repro.polynomials.polynomial import Polynomial
 from repro.polynomials.system import PolynomialSystem
-from repro.tracking.homotopy import BatchHomotopy
 from repro.tracking.start_systems import total_degree_start_system
 
 ALL_CONTEXTS = (DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE)
@@ -71,13 +70,6 @@ def snapshot(values, jacobian, context):
     return copy, jcopy
 
 
-def walk_evaluation(system, backend, points):
-    """The walk oracle's (values, jacobian) for one system."""
-    walk = VectorisedBatchEvaluator(system, backend=backend, use_plan=False)
-    result = walk.evaluate(points)
-    return result.values, result.jacobian
-
-
 def assert_matches_snapshot(values, jacobian, snap, context):
     vals, jac = snap
     for v, planes in zip(values, vals):
@@ -99,7 +91,7 @@ class TestArenaVsWalk:
         with masked_lane_errstate():
             av, aj = plan.execute(points)
             arena_snap = snapshot(av, aj, context)
-            bv, bj = walk_evaluation(system, backend, points)
+            bv, bj = walk_evaluate(system, points, backend)
         assert_matches_snapshot(bv, bj, arena_snap, context)
         assert plan.exec_stats.executions == 1
 
@@ -111,20 +103,17 @@ class TestArenaVsWalk:
         points = lane_points(backend, 3, 4, seed=2)
         t = np.random.default_rng(3).uniform(0.0, 1.0, size=4)
         plan = HomotopyPlan(start, target, gamma=0.6 - 0.8j, backend=backend)
-        walk = BatchHomotopy(start, target, gamma=0.6 - 0.8j,
-                             backend=backend, use_plan=False)
         with masked_lane_errstate():
             av, aj, ad = plan.execute(points, t)
             arena_snap = snapshot(av, aj, context)
             dt_snap = [np.array(p, copy=True)
                        for d in ad for p in planes_of(d, context)]
-            reference = walk.evaluate_batch(points, t)
+            bv, bj, bd = walk_homotopy(start, target, points, t, 0.6 - 0.8j,
+                                       backend)
         # Entries only one system touches may differ from the walk in the
         # sign of a zero, which array_equal ignores (see evalplan).
-        assert_matches_snapshot(reference.values, reference.jacobian,
-                                arena_snap, context)
-        flat = [p for d in reference.t_derivative
-                for p in planes_of(d, context)]
+        assert_matches_snapshot(bv, bj, arena_snap, context)
+        flat = [p for d in bd for p in planes_of(d, context)]
         for pa, pb in zip(dt_snap, flat):
             assert np.array_equal(pa, pb, equal_nan=True)
 
@@ -159,28 +148,8 @@ class TestLifecycle:
             for points in (wide, narrow, wide):
                 av, aj = plan.execute(points)
                 snap = snapshot(av, aj, DOUBLE_DOUBLE)
-                bv, bj = walk_evaluation(system, backend, points)
+                bv, bj = walk_evaluate(system, points, backend)
                 assert_matches_snapshot(bv, bj, snap, DOUBLE_DOUBLE)
-
-    @pytest.mark.parametrize("context", (DOUBLE, DOUBLE_DOUBLE),
-                             ids=lambda c: c.name)
-    def test_nested_toggle_scopes_with_arenas_on(self, context):
-        # The arena executor must be insensitive to the plan toggle
-        # flipping between executions of the same plan.
-        system = example_system()
-        backend = backend_for_context(context)
-        points = lane_points(backend, 3, 5, seed=10)
-        evaluator = VectorisedBatchEvaluator(system, backend=backend)
-        with masked_lane_errstate():
-            with use_eval_plans(False):
-                walk = evaluator.evaluate(points)
-                walk_snap = snapshot(walk.values, walk.jacobian, context)
-            with use_eval_plans(True):
-                with use_eval_plans(False):
-                    pass  # nested flip must restore cleanly
-                got = evaluator.evaluate(points)
-                assert_matches_snapshot(got.values, got.jacobian,
-                                        walk_snap, context)
 
     def test_exception_mid_execution_leaves_arena_reusable(self):
         system = example_system()
@@ -212,7 +181,7 @@ class TestLifecycle:
             assert plane_stack().depth() == 0
             av, aj = plan.execute(points)
             snap = snapshot(av, aj, DOUBLE_DOUBLE)
-            bv, bj = walk_evaluation(system, backend, points)
+            bv, bj = walk_evaluate(system, points, backend)
         assert_matches_snapshot(bv, bj, snap, DOUBLE_DOUBLE)
 
 
@@ -241,11 +210,8 @@ class TestScaleFactorSharing:
         system = self.scaled_system()
         backend = backend_for_context(context)
         points = lane_points(backend, 3, 5, seed=16)
-        evaluator = VectorisedBatchEvaluator(system, backend=backend)
         with masked_lane_errstate():
-            with use_eval_plans(False):
-                walk = evaluator.evaluate(points)
-                walk_snap = snapshot(walk.values, walk.jacobian, context)
-            with use_eval_plans(True):
-                got = evaluator.evaluate(points)
-        assert_matches_snapshot(got.values, got.jacobian, walk_snap, context)
+            walk_snap = snapshot(*walk_evaluate(system, points, backend),
+                                 context)
+            values, jacobian = EvaluationPlan(system, backend=backend).execute(points)
+        assert_matches_snapshot(values, jacobian, walk_snap, context)

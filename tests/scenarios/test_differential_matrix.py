@@ -5,9 +5,10 @@ speelpenning-product, random-sparse, irregular-degree) is pushed through
 the engine identities the repository's perf work depends on:
 
 * **plans vs walk** -- the compiled evaluation schedule, executed out of
-  its arena, must reproduce the naive walk *bit for bit* on a
-  ``BatchHomotopy`` evaluation (values, t-derivative, full Jacobian), at
-  double-double so the hi/lo plane arithmetic is exercised too;
+  its arena, must reproduce the reference walk of
+  :mod:`repro.core.reference` *bit for bit* on a ``BatchHomotopy``
+  evaluation (values, t-derivative, full Jacobian), at double-double so
+  the hi/lo plane arithmetic is exercised too;
 * **batched vs scalar tracker** -- same solution sets on every family,
   including divergent-path systems (noon) where both engines must agree
   on *which* paths fail;
@@ -30,7 +31,7 @@ import pytest
 from repro.bench.eval_plan import _evaluations_identical, _lane_points
 from repro.bench.scenarios import get_scenario, tier1_scenarios
 from repro.core import CPUReferenceEvaluator, GPUEvaluator, SystemLayout
-from repro.core.evalplan import use_eval_plans
+from repro.core.reference import walk_homotopy
 from repro.errors import ConfigurationError
 from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
 from repro.multiprec.backend import backend_for_context
@@ -44,7 +45,7 @@ from repro.tracking import (
     start_solutions,
     total_degree_start_system,
 )
-from repro.tracking.homotopy import BatchHomotopy
+from repro.tracking.homotopy import BatchHomotopy, BatchHomotopyEvaluation
 
 
 def scalar_results(system, context):
@@ -107,10 +108,9 @@ class TestPlanIdentity:
                                  backend=backend)
         points = _lane_points(backend, target.dimension, lanes, seed=seed)
         t = np.random.default_rng(seed + 1).uniform(0.1, 0.9, size=lanes)
-        with use_eval_plans(False):
-            walk = homotopy.evaluate_batch(points, t)
-        with use_eval_plans(True):
-            plan = homotopy.evaluate_batch(points, t)
+        walk = BatchHomotopyEvaluation(*walk_homotopy(
+            start, target, points, t, homotopy.gamma, backend))
+        plan = homotopy.evaluate_batch(points, t)
         return target.dimension, walk, plan
 
     def test_plan_matches_walk_bit_for_bit_dd(self, scenario):
@@ -130,10 +130,9 @@ class TestPlanIdentity:
         t = np.random.default_rng(seed + 1).uniform(0.1, 0.9, size=lanes)
         other = _lane_points(backend, target.dimension, lanes + 3,
                              seed=seed + 2)
-        with use_eval_plans(True):
-            plan = fresh.evaluate_batch(points, t)
-            reused.evaluate_batch(other, np.full(lanes + 3, 0.5))
-            arena = reused.evaluate_batch(points, t)
+        plan = fresh.evaluate_batch(points, t)
+        reused.evaluate_batch(other, np.full(lanes + 3, 0.5))
+        arena = reused.evaluate_batch(points, t)
         assert reused.plan.arena.resizes >= 1
         assert _evaluations_identical(plan, arena, target.dimension,
                                       DOUBLE_DOUBLE)

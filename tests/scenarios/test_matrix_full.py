@@ -16,11 +16,11 @@ import pytest
 
 from repro.bench.eval_plan import _evaluations_identical, _lane_points
 from repro.bench.scenarios import SCENARIOS
-from repro.core.evalplan import use_eval_plans
+from repro.core.reference import walk_homotopy
 from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
 from repro.multiprec.backend import backend_for_context
 from repro.tracking import TrackerOptions, solve_system
-from repro.tracking.homotopy import BatchHomotopy
+from repro.tracking.homotopy import BatchHomotopy, BatchHomotopyEvaluation
 from repro.tracking.start_systems import total_degree_start_system
 
 # Same-directory import: pytest's rootdir-less (no __init__.py) layout puts
@@ -46,10 +46,9 @@ def test_plan_and_arena_identity_dd(scenario):
                              backend=backend)
     points = _lane_points(backend, target.dimension, 8, seed=61)
     t = np.random.default_rng(62).uniform(0.1, 0.9, size=8)
-    with use_eval_plans(False):
-        walk = homotopy.evaluate_batch(points, t)
-    with use_eval_plans(True):
-        plan = homotopy.evaluate_batch(points, t)
+    walk = BatchHomotopyEvaluation(*walk_homotopy(
+        start, target, points, t, homotopy.gamma, backend))
+    plan = homotopy.evaluate_batch(points, t)
     assert _evaluations_identical(walk, plan, target.dimension, DOUBLE_DOUBLE)
 
 

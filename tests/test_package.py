@@ -80,6 +80,22 @@ def _imported_modules(path, package):
 
 
 REFERENCE = "repro.multiprec.reference"
+CORE_REFERENCE = "repro.core.reference"
+
+
+def _reference_importers(oracle):
+    """Modules under ``src/repro`` outside ``repro.bench`` importing ``oracle``."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        package = ".".join(parts[:-1])
+        module = package if parts[-1] == "__init__" else ".".join(parts)
+        if module.startswith("repro.bench") or module == oracle:
+            continue
+        if oracle in set(_imported_modules(path, package)):
+            offenders.append(module)
+    return offenders
 
 
 class TestReferenceModuleBoundary:
@@ -87,17 +103,13 @@ class TestReferenceModuleBoundary:
         """``repro.multiprec.reference`` is the oracle of the fused kernels:
         tests and ``repro.bench`` compare against it, product code never
         runs it."""
-        root = Path(repro.__file__).parent
-        offenders = []
-        for path in sorted(root.rglob("*.py")):
-            parts = path.relative_to(root.parent).with_suffix("").parts
-            package = ".".join(parts[:-1])
-            module = package if parts[-1] == "__init__" else ".".join(parts)
-            if module.startswith("repro.bench") or module == REFERENCE:
-                continue
-            if REFERENCE in set(_imported_modules(path, package)):
-                offenders.append(module)
-        assert offenders == []
+        assert _reference_importers(REFERENCE) == []
+
+    def test_only_benchmarks_import_the_reference_walk(self):
+        """``repro.core.reference`` is the oracle of the compiled evaluation
+        plans: tests and ``repro.bench`` compare against it, product code
+        never runs it."""
+        assert _reference_importers(CORE_REFERENCE) == []
 
     def test_boundary_scan_sees_relative_imports(self, tmp_path):
         source = tmp_path / "probe.py"
@@ -105,3 +117,11 @@ class TestReferenceModuleBoundary:
                           "from .reference import qd_add\n", encoding="utf-8")
         assert REFERENCE in set(_imported_modules(source, "repro.core"))
         assert REFERENCE in set(_imported_modules(source, "repro.multiprec"))
+
+    def test_boundary_scan_sees_relative_walk_imports(self, tmp_path):
+        source = tmp_path / "probe.py"
+        source.write_text("from ..core import reference\n"
+                          "from .reference import walk_evaluate\n",
+                          encoding="utf-8")
+        assert CORE_REFERENCE in set(_imported_modules(source, "repro.tracking"))
+        assert CORE_REFERENCE in set(_imported_modules(source, "repro.core"))

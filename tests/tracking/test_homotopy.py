@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.core import CPUReferenceEvaluator
-from repro.multiprec import DOUBLE_DOUBLE
+from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
 from repro.polynomials import Monomial, Polynomial, PolynomialSystem
-from repro.tracking import Homotopy, total_degree_start_system
+from repro.tracking import BatchHomotopy, Homotopy, total_degree_start_system
 
 
 def target_system():
@@ -123,3 +124,38 @@ class TestInterface:
                          gamma=complex(0.6, 0.8)).evaluate_at([0.5 + 0.5j, -0.25 + 1j], 0.5)
         for a, b in zip(result.values, plain.values):
             assert a.to_complex() == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("context", (DOUBLE, DOUBLE_DOUBLE),
+                         ids=lambda c: c.name)
+class TestBatchContinuationParameters:
+    """``BatchHomotopy.evaluate_batch`` takes one finite ``t`` in [0, 1]
+    per lane and refuses anything else instead of evaluating it."""
+
+    LANES = 4
+
+    @staticmethod
+    def evaluate(context, t):
+        target = target_system()
+        homotopy = BatchHomotopy(total_degree_start_system(target), target,
+                                 context=context)
+        points = homotopy.backend.from_points(
+            [[0.5 + 0.1j * lane, -0.25 + 1j]
+             for lane in range(TestBatchContinuationParameters.LANES)])
+        return homotopy.evaluate_batch(points, np.asarray(t, dtype=float))
+
+    def test_per_lane_parameters_accepted(self, context):
+        result = self.evaluate(context, [0.0, 0.25, 0.75, 1.0])
+        assert len(result.values) == 2
+
+    def test_nan_rejected(self, context):
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+            self.evaluate(context, [0.5, np.nan, 0.5, 0.5])
+
+    def test_single_parameter_not_broadcast(self, context):
+        with pytest.raises(ConfigurationError, match="per lane"):
+            self.evaluate(context, [0.5])
+
+    def test_too_few_parameters_rejected(self, context):
+        with pytest.raises(ConfigurationError, match="per lane"):
+            self.evaluate(context, [0.5, 0.5, 0.5])
